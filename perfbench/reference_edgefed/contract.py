@@ -1,0 +1,495 @@
+"""Federation smart contract.
+
+A deterministic state machine every node executes identically: operator
+registration, service announcements with escrowed deposits, reverse-auction
+bidding, lowest-price winner selection, deployment confirmation, close, and
+oracle-fed SLA settlement. State holds no floats; currency is integer
+millionths so digests agree across platforms.
+"""
+
+import dataclasses
+import json
+from dataclasses import dataclass, field
+from enum import IntEnum
+
+from . import canonical
+from .ledger import Address, Block, StampedEvent
+from .units import format_micro, to_micro
+
+
+class ContractError(Exception):
+    """Base class for rejected contract calls."""
+
+
+class AlreadyRegistered(ContractError):
+    pass
+
+
+class NotRegistered(ContractError):
+    pass
+
+
+class InsufficientBalance(ContractError):
+    pass
+
+
+class DepositBelowPenalty(ContractError):
+    pass
+
+
+class SelfBid(ContractError):
+    pass
+
+
+class WrongPhase(ContractError):
+    pass
+
+
+class NotConsumer(ContractError):
+    pass
+
+
+class NotEnoughBids(ContractError):
+    pass
+
+
+class NotWinner(ContractError):
+    pass
+
+
+class NotOracle(ContractError):
+    pass
+
+
+class Phase(IntEnum):
+    OPEN = 0
+    PROVIDER_CHOSEN = 1
+    DEPLOYMENT_CONFIRMED = 2
+    CLOSED = 3
+    SETTLED = 4
+
+
+@dataclass(frozen=True)
+class ServiceRequirements:
+    """Demand-side descriptor only; no provider infrastructure details."""
+
+    app_id: str
+    replicas: int
+    bandwidth_mbps: int
+
+
+@dataclass(frozen=True)
+class OverlayEndpoint:
+    ip: str
+    udp_port: int
+    vni: int
+
+
+@dataclass(frozen=True)
+class SlaTerms:
+    min_availability_micro: int  # fraction of 1.0 in millionths
+    max_latency_us: int
+    penalty_micro: int
+
+    @classmethod
+    def from_floats(cls, min_availability: float, max_latency_ms: float, penalty: float) -> "SlaTerms":
+        return cls(
+            min_availability_micro=to_micro(min_availability),
+            max_latency_us=round(max_latency_ms * 1000),
+            penalty_micro=to_micro(penalty),
+        )
+
+
+# -- calls -------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RegisterOperator:
+    KIND = "RegisterOperator"
+    name: str
+
+
+@dataclass(frozen=True)
+class AnnounceService:
+    KIND = "AnnounceService"
+    requirements: ServiceRequirements
+    consumer_endpoint: OverlayEndpoint
+    sla: SlaTerms
+    deposit_micro: int
+
+
+@dataclass(frozen=True)
+class PlaceBid:
+    KIND = "PlaceBid"
+    ann_id: int
+    price_micro: int
+
+
+@dataclass(frozen=True)
+class ChooseProvider:
+    KIND = "ChooseProvider"
+    ann_id: int
+
+
+@dataclass(frozen=True)
+class ConfirmDeployment:
+    KIND = "ConfirmDeployment"
+    ann_id: int
+    provider_endpoint: OverlayEndpoint
+
+
+@dataclass(frozen=True)
+class CloseFederation:
+    KIND = "CloseFederation"
+    ann_id: int
+
+
+@dataclass(frozen=True)
+class ReportQos:
+    KIND = "ReportQos"
+    ann_id: int
+    measured_availability_micro: int
+    measured_latency_us: int
+
+
+# -- events ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OperatorRegistered:
+    KIND = "OperatorRegistered"
+    operator: Address
+    name: str
+
+
+@dataclass(frozen=True)
+class ServiceAnnounced:
+    """Carries the announcement id and requirements only (data minimization)."""
+
+    KIND = "ServiceAnnounced"
+    ann_id: int
+    requirements: ServiceRequirements
+
+
+@dataclass(frozen=True)
+class BidPlaced:
+    KIND = "BidPlaced"
+    ann_id: int
+    bid_count: int
+
+
+@dataclass(frozen=True)
+class ProviderChosen:
+    """Releases the consumer endpoint to the winner at selection time."""
+
+    KIND = "ProviderChosen"
+    ann_id: int
+    winner: Address
+    consumer_endpoint: OverlayEndpoint
+
+
+@dataclass(frozen=True)
+class DeploymentConfirmed:
+    KIND = "DeploymentConfirmed"
+    ann_id: int
+    provider_endpoint: OverlayEndpoint
+
+
+@dataclass(frozen=True)
+class FederationClosed:
+    KIND = "FederationClosed"
+    ann_id: int
+
+
+@dataclass(frozen=True)
+class Settled:
+    KIND = "Settled"
+    ann_id: int
+    compliant: bool
+    provider_payout_micro: int
+    consumer_refund_micro: int
+
+
+# -- state -------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ServiceAnnouncement:
+    ann_id: int
+    consumer: Address
+    requirements: ServiceRequirements
+    consumer_endpoint: OverlayEndpoint
+    announce_block: int
+
+
+@dataclass
+class Bid:
+    ann_id: int
+    provider: Address
+    price_micro: int
+    bid_block: int
+    order_index: int
+
+
+def bid_priority(bid: Bid) -> tuple:
+    """Total order for winner selection: lowest price, then earliest block,
+    then earliest auction position, then lowest address."""
+    return (bid.price_micro, bid.bid_block, bid.order_index, bid.provider)
+
+
+def select_winner(bids) -> Bid:
+    return min(bids, key=bid_priority)
+
+
+@dataclass
+class FederationRecord:
+    announcement: ServiceAnnouncement
+    phase: Phase
+    bids: dict = field(default_factory=dict)  # provider -> Bid
+    bid_seq: int = 0
+    winner: Address | None = None
+    provider_endpoint: OverlayEndpoint | None = None
+    escrow_micro: int = 0
+    sla: SlaTerms | None = None
+
+
+@dataclass(frozen=True)
+class ContractGenesis:
+    """Shared starting point every replica is constructed from.
+
+    Operators and balances installed here model pre-workflow registration and
+    genesis funding; min_offers is the selection threshold enforced by
+    choose_provider.
+    """
+
+    operators: tuple = ()  # (Address, name) pairs
+    balances: tuple = ()  # (Address, micro) pairs
+    oracles: tuple = ()
+    min_offers: int = 2
+
+
+class FederationContract:
+    def __init__(self, genesis: ContractGenesis):
+        self.genesis = genesis
+        self.operators: dict[Address, str] = dict(genesis.operators)
+        self.balances: dict[Address, int] = {a: v for a, v in genesis.balances}
+        self.federations: dict[int, FederationRecord] = {}
+        self.next_ann_id = 0
+        self.oracles = frozenset(genesis.oracles)
+        self.min_offers = genesis.min_offers
+        self.rejected: list[tuple[int, str]] = []  # (tx id, error class name)
+
+    # -- execution ---------------------------------------------------------
+
+    def execute_block(self, block: Block) -> list:
+        """Apply every call in ledger order; rejected calls leave no trace in
+        state so replicas stay byte-identical."""
+        events = []
+        for tx in block.txs:
+            try:
+                events.append(self.apply(tx.sender, tx.payload, block.height))
+            except ContractError as err:
+                self.rejected.append((tx.id, type(err).__name__))
+        return events
+
+    def apply(self, sender: Address, call, height: int):
+        handler = self._HANDLERS.get(type(call))
+        if handler is None:
+            raise ContractError(f"unknown call {type(call).__name__}")
+        return handler(self, sender, call, height)
+
+    # -- handlers ------------------------------------------------------------
+
+    def _register(self, sender, call: RegisterOperator, height):
+        if sender in self.operators:
+            raise AlreadyRegistered(f"{sender} is already registered")
+        self.operators[sender] = call.name
+        return OperatorRegistered(operator=sender, name=call.name)
+
+    def _announce(self, sender, call: AnnounceService, height):
+        if sender not in self.operators:
+            raise NotRegistered(f"{sender} is not a registered operator")
+        if call.deposit_micro < call.sla.penalty_micro:
+            raise DepositBelowPenalty(
+                f"deposit {call.deposit_micro} does not cover penalty {call.sla.penalty_micro}"
+            )
+        if self.balances.get(sender, 0) < call.deposit_micro:
+            raise InsufficientBalance(f"{sender} cannot escrow {call.deposit_micro}")
+        ann_id = self.next_ann_id
+        self.next_ann_id += 1
+        self.balances[sender] -= call.deposit_micro
+        self.federations[ann_id] = FederationRecord(
+            announcement=ServiceAnnouncement(
+                ann_id=ann_id,
+                consumer=sender,
+                requirements=call.requirements,
+                consumer_endpoint=call.consumer_endpoint,
+                announce_block=height,
+            ),
+            phase=Phase.OPEN,
+            escrow_micro=call.deposit_micro,
+            sla=call.sla,
+        )
+        return ServiceAnnounced(ann_id=ann_id, requirements=call.requirements)
+
+    def _bid(self, sender, call: PlaceBid, height):
+        record = self._record(call.ann_id)
+        if sender not in self.operators:
+            raise NotRegistered(f"{sender} is not a registered operator")
+        if sender == record.announcement.consumer:
+            raise SelfBid("consumer cannot bid on its own announcement")
+        if record.phase is not Phase.OPEN:
+            raise WrongPhase(f"bidding is over for announcement {call.ann_id}")
+        # Re-bids overwrite the price and move to the latest auction position.
+        record.bids[sender] = Bid(
+            ann_id=call.ann_id,
+            provider=sender,
+            price_micro=call.price_micro,
+            bid_block=height,
+            order_index=record.bid_seq,
+        )
+        record.bid_seq += 1
+        return BidPlaced(ann_id=call.ann_id, bid_count=len(record.bids))
+
+    def _choose(self, sender, call: ChooseProvider, height):
+        record = self._record(call.ann_id)
+        if sender != record.announcement.consumer:
+            raise NotConsumer("only the announcing consumer selects a provider")
+        if record.phase is not Phase.OPEN:
+            raise WrongPhase(f"announcement {call.ann_id} is not open")
+        if len(record.bids) < self.min_offers:
+            raise NotEnoughBids(
+                f"{len(record.bids)} bids, need at least {self.min_offers}"
+            )
+        winning = select_winner(record.bids.values())
+        record.winner = winning.provider
+        record.phase = Phase.PROVIDER_CHOSEN
+        return ProviderChosen(
+            ann_id=call.ann_id,
+            winner=winning.provider,
+            consumer_endpoint=record.announcement.consumer_endpoint,
+        )
+
+    def _confirm(self, sender, call: ConfirmDeployment, height):
+        record = self._record(call.ann_id)
+        if record.phase is not Phase.PROVIDER_CHOSEN:
+            raise WrongPhase(f"announcement {call.ann_id} is not awaiting deployment")
+        if sender != record.winner:
+            raise NotWinner("only the selected provider confirms deployment")
+        record.provider_endpoint = call.provider_endpoint
+        record.phase = Phase.DEPLOYMENT_CONFIRMED
+        return DeploymentConfirmed(
+            ann_id=call.ann_id, provider_endpoint=call.provider_endpoint
+        )
+
+    def _close(self, sender, call: CloseFederation, height):
+        record = self._record(call.ann_id)
+        if sender != record.announcement.consumer:
+            raise NotConsumer("only the announcing consumer closes the federation")
+        if record.phase is not Phase.DEPLOYMENT_CONFIRMED:
+            raise WrongPhase(f"announcement {call.ann_id} is not confirmed")
+        record.phase = Phase.CLOSED
+        return FederationClosed(ann_id=call.ann_id)
+
+    def _settle(self, sender, call: ReportQos, height):
+        record = self._record(call.ann_id)
+        if sender not in self.oracles:
+            raise NotOracle(f"{sender} is not an authorized oracle")
+        if record.phase is not Phase.CLOSED:
+            raise WrongPhase(f"announcement {call.ann_id} is not closed")
+        sla = record.sla
+        compliant = (
+            call.measured_availability_micro >= sla.min_availability_micro
+            and call.measured_latency_us <= sla.max_latency_us
+        )
+        escrow = record.escrow_micro
+        refund = 0 if compliant else sla.penalty_micro
+        payout = escrow - refund
+        consumer = record.announcement.consumer
+        self.balances[consumer] = self.balances.get(consumer, 0) + refund
+        self.balances[record.winner] = self.balances.get(record.winner, 0) + payout
+        record.escrow_micro = 0
+        record.phase = Phase.SETTLED
+        return Settled(
+            ann_id=call.ann_id,
+            compliant=compliant,
+            provider_payout_micro=payout,
+            consumer_refund_micro=refund,
+        )
+
+    _HANDLERS = {
+        RegisterOperator: _register,
+        AnnounceService: _announce,
+        PlaceBid: _bid,
+        ChooseProvider: _choose,
+        ConfirmDeployment: _confirm,
+        CloseFederation: _close,
+        ReportQos: _settle,
+    }
+
+    # -- queries ---------------------------------------------------------------
+
+    def _record(self, ann_id: int) -> FederationRecord:
+        record = self.federations.get(ann_id)
+        if record is None:
+            raise ContractError(f"unknown announcement {ann_id}")
+        return record
+
+    def state_digest(self) -> str:
+        return canonical.digest(
+            {
+                "operators": self.operators,
+                "balances": self.balances,
+                "federations": self.federations,
+                "next_ann_id": self.next_ann_id,
+            }
+        )
+
+    def total_funds_micro(self) -> int:
+        """Balances plus escrow; constant after genesis funding."""
+        return sum(self.balances.values()) + sum(
+            r.escrow_micro for r in self.federations.values()
+        )
+
+
+# -- event log export ----------------------------------------------------------
+
+
+def _jsonable(value):
+    if isinstance(value, Address):
+        return value.hex
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            f.name: _jsonable(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+    return value
+
+
+def event_log_lines(stamped_events) -> list[dict]:
+    lines = []
+    for se in stamped_events:
+        assert isinstance(se, StampedEvent)
+        payload = {
+            f.name: _jsonable(getattr(se.event, f.name))
+            for f in dataclasses.fields(se.event)
+            if f.name != "ann_id"
+        }
+        lines.append(
+            {
+                "block_height": se.block_height,
+                "finality_time_s": format_micro(se.finality_time_us),
+                "event_kind": se.event.KIND,
+                "ann_id": getattr(se.event, "ann_id", None),
+                "payload": payload,
+            }
+        )
+    return lines
+
+
+def write_event_log(stamped_events, path) -> None:
+    """JSON lines, one contract event per line in finality order."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in event_log_lines(stamped_events):
+            fh.write(json.dumps(line, sort_keys=True))
+            fh.write("\n")
