@@ -126,7 +126,11 @@ class DeploymentQueue:
 
 
 class ProviderAgent:
-    """Event-driven provider: bids on announcements, deploys on wins."""
+    """Event-driven provider: bids on announcements, deploys on wins.
+
+    `handle` receives every announcement and the selections this provider
+    won; the kernel routes each event only to the agents it concerns.
+    """
 
     def __init__(self, profile: ProviderProfile, runtime, pricing_ctx, pricing_rng,
                  reaction_us: int):
@@ -155,8 +159,6 @@ class ProviderAgent:
         self.runtime.schedule(observed_us + self.reaction_us, submit_bid)
 
     def on_provider_chosen(self, event: ProviderChosen, observed_us: int) -> None:
-        if event.winner != self.profile.address:
-            return
         ann_id = event.ann_id
 
         def start_deployment():
@@ -177,7 +179,10 @@ class ProviderAgent:
 
 
 class ConsumerAgent:
-    """Announces a service extension, then drives selection, attach and close."""
+    """Announces a service extension, then drives selection, attach and close.
+
+    `handle` receives only the events of this consumer's own federation.
+    """
 
     def __init__(self, profile: ConsumerProfile, runtime, endpoint: OverlayEndpoint,
                  sla: SlaTerms, deposit_micro: int, min_offers: int, reaction_us: int):
@@ -212,22 +217,18 @@ class ConsumerAgent:
 
     def handle(self, event, observed_us: int) -> None:
         if isinstance(event, ServiceAnnounced):
-            # Announcements carry no sender; ours is recognized by app id.
-            if event.requirements.app_id == self.profile.requirements.app_id:
-                self.ann_id = event.ann_id
-                self.announce_finalized_us = observed_us
+            self.ann_id = event.ann_id
+            self.announce_finalized_us = observed_us
         elif isinstance(event, BidPlaced):
             self.on_bid_placed(event, observed_us)
         elif isinstance(event, ProviderChosen):
-            if event.ann_id == self.ann_id:
-                self.winner = event.winner
-                self.winner_finalized_us = observed_us
+            self.winner = event.winner
+            self.winner_finalized_us = observed_us
         elif isinstance(event, DeploymentConfirmed):
-            if event.ann_id == self.ann_id:
-                self.on_deployment_confirmed(event, observed_us)
+            self.on_deployment_confirmed(event, observed_us)
 
     def on_bid_placed(self, event: BidPlaced, observed_us: int) -> None:
-        if event.ann_id != self.ann_id or self._selection_issued:
+        if self._selection_issued:
             return
         if event.bid_count < self.min_offers:
             return

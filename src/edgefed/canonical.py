@@ -7,12 +7,19 @@ rejected on purpose; replicated state must be fixed-point.
 """
 
 import dataclasses
+import functools
 import hashlib
 from enum import Enum
 
 
 def _lp(tag: bytes, body: bytes) -> bytes:
     return tag + len(body).to_bytes(4, "big") + body
+
+
+@functools.cache
+def _field_names(cls) -> tuple:
+    # Per type, not per object: dataclasses.fields is costly on hot paths.
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 def encode(obj) -> bytes:
@@ -34,8 +41,8 @@ def encode(obj) -> bytes:
         return _lp(b"e", f"{type(obj).__name__}.{obj.name}".encode("utf-8"))
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         body = _lp(b"s", type(obj).__name__.encode("utf-8"))
-        for f in dataclasses.fields(obj):
-            body += encode(getattr(obj, f.name))
+        for name in _field_names(type(obj)):
+            body += encode(getattr(obj, name))
         return _lp(b"d", body)
     if isinstance(obj, (list, tuple)):
         return _lp(b"l", b"".join(encode(item) for item in obj))

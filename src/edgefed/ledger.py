@@ -165,21 +165,6 @@ class StampedEvent:
     event: object
 
 
-class Subscription:
-    """Collects contract events in block order, then intra-block tx order.
-
-    Each entry is stamped with the block's finality time; subscribers must not
-    act on an event before that instant.
-    """
-
-    def __init__(self, kinds=None):
-        self.kinds = frozenset(kinds) if kinds is not None else None
-        self.events: list[StampedEvent] = []
-
-    def matches(self, event) -> bool:
-        return self.kinds is None or getattr(event, "KIND", None) in self.kinds
-
-
 class Ledger:
     def __init__(self, consensus: ConsensusConfig):
         self.consensus = consensus
@@ -196,7 +181,6 @@ class Ledger:
         self.mempool: list[Transaction] = []
         self._last_nonce: dict[Address, int] = {}
         self._next_tx_id = 0
-        self._subscriptions: list[Subscription] = []
 
     # -- transactions ------------------------------------------------------
 
@@ -287,20 +271,12 @@ class Ledger:
 
     # -- events --------------------------------------------------------------
 
-    def subscribe(self, kinds=None) -> Subscription:
-        sub = Subscription(kinds)
-        self._subscriptions.append(sub)
-        return sub
-
     def publish_events(self, block: Block, events) -> list[StampedEvent]:
-        stamped = [
-            StampedEvent(block.height, block.finality_time_us, ev) for ev in events
-        ]
-        for sub in self._subscriptions:
-            for se in stamped:
-                if sub.matches(se.event):
-                    sub.events.append(se)
-        return stamped
+        """Stamp a block's events, in tx order, with its finality time.
+
+        Nothing may act on an event before that instant.
+        """
+        return [StampedEvent(block.height, block.finality_time_us, ev) for ev in events]
 
     # -- export --------------------------------------------------------------
 

@@ -5,6 +5,14 @@ queue, seeded per-purpose random streams, topology generation, and the wiring
 that drives ledger, contract and agents through a full federation workflow.
 Two executions with equal configs produce identical ledgers, digests and
 traces.
+
+Finalized contract events reach agents through one per-run routing table,
+not by broadcast: an announcement goes to the consumer that made it and to
+every provider, and every later event of a federation goes only to its
+consumer and, for the selection, to the winner. Events no agent acts on go
+to none. Recipients of one event are called consumers first, then providers,
+in list order, which is the order broadcast used; that order fixes the
+event queue's schedule sequence and so every output byte.
 """
 
 import hashlib
@@ -23,10 +31,15 @@ from .agents import (
     soa_federate,
 )
 from .contract import (
+    BidPlaced,
     ContractGenesis,
+    DeploymentConfirmed,
+    FederationClosed,
     FederationContract,
     OverlayEndpoint,
     Phase,
+    ProviderChosen,
+    ServiceAnnounced,
     ServiceRequirements,
     SlaTerms,
 )
@@ -148,6 +161,11 @@ class AgentParams:
     sla: SlaTerms = SlaTerms.from_floats(0.99, 50.0, 2.0)
     genesis_balance_micro: int = to_micro(100.0)
 
+    def __post_init__(self):
+        if min(self.attach_time_us, self.reaction_delay_us, self.rtt_us) < 0:
+            raise ConfigInvalid("agent delays must be non-negative")
+        self.pricing_context()  # rejects a bad hour, curve or jitter up front
+
     def pricing_context(self) -> PricingContext:
         return PricingContext(
             hour_of_day=self.hour_of_day,
@@ -190,6 +208,10 @@ class ScenarioConfig:
             raise ConfigInvalid("runs must be >= 1")
         if self.block_period_us <= 0:
             raise ConfigInvalid("block period must be positive")
+        if min(self.message_delay_us, self.validation_cost_us) < 0:
+            raise ConfigInvalid("consensus delays must be non-negative")
+        if self.timeout_us <= 0:
+            raise ConfigInvalid("scenario timeout must be positive")
 
 
 def _require_keys(section: dict, allowed, where: str) -> None:
@@ -198,9 +220,17 @@ def _require_keys(section: dict, allowed, where: str) -> None:
         raise ConfigInvalid(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _get_number(section, key, default, where):
     value = section.get(key, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_number(value):
         raise ConfigInvalid(f"{where}.{key} must be a number")
     return value
 
@@ -219,12 +249,12 @@ def parse_config(data: dict, scenario_id: str = "scenario") -> ScenarioConfig:
     topology = data.get("topology", {})
     _require_keys(topology, {"n_systems", "split"}, "topology")
     n_systems = topology.get("n_systems", 2)
-    if not isinstance(n_systems, int):
+    if not _is_int(n_systems):
         raise ConfigInvalid("topology.n_systems must be an integer")
     if "split" in topology:
         split = topology["split"]
         if (not isinstance(split, (list, tuple)) or len(split) != 2
-                or not all(isinstance(v, int) for v in split)):
+                or not all(_is_int(v) for v in split)):
             raise ConfigInvalid("topology.split must be [consumers, providers]")
         consumers, providers = split
     else:
@@ -257,47 +287,26 @@ def parse_config(data: dict, scenario_id: str = "scenario") -> ScenarioConfig:
         {"container_start_s", "vxlan_setup_s", "confirm_overhead_s"},
         "agents.deployment",
     )
-    deploy_model = DeploymentModel(
-        container_start_us=to_micro(_get_number(deployment, "container_start_s", 1.5, "agents.deployment")),
-        vxlan_setup_us=to_micro(_get_number(deployment, "vxlan_setup_s", 0.5, "agents.deployment")),
-        confirm_overhead_us=to_micro(_get_number(deployment, "confirm_overhead_s", 0.1, "agents.deployment")),
-    )
     tariffs = agents_cfg.get("tariffs", list(DEFAULT_TARIFFS))
-    if not isinstance(tariffs, (list, tuple)) or not tariffs:
-        raise ConfigInvalid("agents.tariffs must be a non-empty list")
+    if (not isinstance(tariffs, (list, tuple)) or not tariffs
+            or not all(_is_number(t) for t in tariffs)):
+        raise ConfigInvalid("agents.tariffs must be a non-empty list of numbers")
     curve = agents_cfg.get("time_factor_curve", list(DEFAULT_TIME_FACTOR_CURVE))
-    if not isinstance(curve, (list, tuple)) or len(curve) != 24:
+    if (not isinstance(curve, (list, tuple)) or len(curve) != 24
+            or not all(_is_number(f) for f in curve)):
         raise ConfigInvalid("agents.time_factor_curve must list 24 multipliers")
     sla_cfg = agents_cfg.get("sla", {})
     _require_keys(sla_cfg, {"min_availability", "max_latency_ms", "penalty"}, "agents.sla")
     hour = agents_cfg.get("hour_of_day", 12)
-    if not isinstance(hour, int) or not 0 <= hour <= 23:
+    if not _is_int(hour) or not 0 <= hour <= 23:
         raise ConfigInvalid("agents.hour_of_day must be an integer in 0..23")
-
-    agent_params = AgentParams(
-        deploy_model=deploy_model,
-        attach_time_us=to_micro(_get_number(agents_cfg, "attach_time_s", 0.5, "agents")),
-        reaction_delay_us=to_micro(_get_number(agents_cfg, "reaction_delay_s", 0.1, "agents")),
-        rtt_us=to_micro(_get_number(agents_cfg, "rtt_s", 0.05, "agents")),
-        tariffs_micro=tuple(to_micro(t) for t in tariffs),
-        time_factor_curve=tuple(float(f) for f in curve),
-        hour_of_day=hour,
-        jitter_fraction=float(_get_number(agents_cfg, "jitter_fraction", 0.05, "agents")),
-        abstain_probability=float(_get_number(agents_cfg, "abstain_probability", 0.0, "agents")),
-        deposit_micro=to_micro(_get_number(agents_cfg, "announce_deposit", 10.0, "agents")),
-        sla=SlaTerms.from_floats(
-            _get_number(sla_cfg, "min_availability", 0.99, "agents.sla"),
-            _get_number(sla_cfg, "max_latency_ms", 50.0, "agents.sla"),
-            _get_number(sla_cfg, "penalty", 2.0, "agents.sla"),
-        ),
-        genesis_balance_micro=to_micro(_get_number(agents_cfg, "genesis_balance", 100.0, "agents")),
-    )
 
     sweep = data.get("sweep", {})
     _require_keys(sweep, {"n_systems", "variants"}, "sweep")
-    sweep_n = tuple(sweep.get("n_systems", (2, 10, 15, 25, 30)))
-    if not all(isinstance(n, int) for n in sweep_n):
-        raise ConfigInvalid("sweep.n_systems must be integers")
+    sweep_n = sweep.get("n_systems", (2, 10, 15, 25, 30))
+    if not isinstance(sweep_n, (list, tuple)) or not all(_is_int(n) and n >= 2 for n in sweep_n):
+        raise ConfigInvalid("sweep.n_systems must be a list of integers >= 2")
+    sweep_n = tuple(sweep_n)
     sweep_variants = tuple(sweep.get("variants", VARIANTS))
     for v in sweep_variants:
         if v not in VARIANTS:
@@ -308,10 +317,34 @@ def parse_config(data: dict, scenario_id: str = "scenario") -> ScenarioConfig:
 
     runs = data.get("runs", 20)
     seed = data.get("seed", 1)
-    if not isinstance(runs, int) or not isinstance(seed, int):
+    if not _is_int(runs) or not _is_int(seed):
         raise ConfigInvalid("runs and seed must be integers")
 
+    # The dataclasses check value ranges; their ValueErrors become ConfigInvalid.
     try:
+        deploy_model = DeploymentModel(
+            container_start_us=to_micro(_get_number(deployment, "container_start_s", 1.5, "agents.deployment")),
+            vxlan_setup_us=to_micro(_get_number(deployment, "vxlan_setup_s", 0.5, "agents.deployment")),
+            confirm_overhead_us=to_micro(_get_number(deployment, "confirm_overhead_s", 0.1, "agents.deployment")),
+        )
+        agent_params = AgentParams(
+            deploy_model=deploy_model,
+            attach_time_us=to_micro(_get_number(agents_cfg, "attach_time_s", 0.5, "agents")),
+            reaction_delay_us=to_micro(_get_number(agents_cfg, "reaction_delay_s", 0.1, "agents")),
+            rtt_us=to_micro(_get_number(agents_cfg, "rtt_s", 0.05, "agents")),
+            tariffs_micro=tuple(to_micro(t) for t in tariffs),
+            time_factor_curve=tuple(float(f) for f in curve),
+            hour_of_day=hour,
+            jitter_fraction=float(_get_number(agents_cfg, "jitter_fraction", 0.05, "agents")),
+            abstain_probability=float(_get_number(agents_cfg, "abstain_probability", 0.0, "agents")),
+            deposit_micro=to_micro(_get_number(agents_cfg, "announce_deposit", 10.0, "agents")),
+            sla=SlaTerms.from_floats(
+                _get_number(sla_cfg, "min_availability", 0.99, "agents.sla"),
+                _get_number(sla_cfg, "max_latency_ms", 50.0, "agents.sla"),
+                _get_number(sla_cfg, "penalty", 2.0, "agents.sla"),
+            ),
+            genesis_balance_micro=to_micro(_get_number(agents_cfg, "genesis_balance", 100.0, "agents")),
+        )
         return ScenarioConfig(
             scenario_id=str(data.get("scenario_id", scenario_id)),
             n_systems=n_systems,
@@ -494,7 +527,13 @@ class _ChainRun:
             )
             for i, profile in enumerate(self.consumer_profiles)
         ]
-        self.agents = self.consumers + self.providers
+        # Routing table for _deliver; _consumer_by_ann fills as announcements
+        # finalize.
+        self._consumer_by_app = {c.profile.requirements.app_id: c for c in self.consumers}
+        if len(self._consumer_by_app) != len(self.consumers):
+            raise ValueError("consumer app ids must be unique to route announcements")
+        self._consumer_by_ann = {}
+        self._provider_by_address = {p.profile.address: p for p in self.providers}
 
     def execute(self) -> RunResult:
         cfg = self.cfg
@@ -537,14 +576,27 @@ class _ChainRun:
     def _deliver(self, batch):
         # Observation happens at finality; within a block, tx order is kept.
         for se in batch:
-            for agent in self.agents:
+            for agent in self._recipients(se.event):
                 agent.handle(se.event, se.finality_time_us)
             if self.cfg.concurrency_mode == MODE_SINGLE:
                 self._maybe_start_next_consumer(se)
 
+    def _recipients(self, event) -> list:
+        """The agents that act on `event`: its consumer, then the providers
+        concerned. Announcements carry no sender, so their consumer is found
+        by app id, and the announcement id is bound to it here."""
+        if isinstance(event, ServiceAnnounced):
+            consumer = self._consumer_by_app[event.requirements.app_id]
+            self._consumer_by_ann[event.ann_id] = consumer
+            return [consumer, *self.providers]
+        if isinstance(event, (BidPlaced, DeploymentConfirmed)):
+            return [self._consumer_by_ann[event.ann_id]]
+        if isinstance(event, ProviderChosen):
+            return [self._consumer_by_ann[event.ann_id], self._provider_by_address[event.winner]]
+        return []
+
     def _maybe_start_next_consumer(self, se):
-        event = se.event
-        if getattr(event, "KIND", None) != "FederationClosed":
+        if not isinstance(se.event, FederationClosed):
             return
         closed_count = sum(
             1 for r in self.contract.federations.values() if r.phase >= Phase.CLOSED

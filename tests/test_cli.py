@@ -169,3 +169,30 @@ class TestValidateConfig:
         path = tmp_path / "bad.json"
         path.write_text('{"topology": {"n_systems": 1}}')
         assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
+
+
+class TestBadConfigExits1:
+    @pytest.mark.parametrize("overrides, reason", [
+        ({"agents": {"deployment": {"container_start_s": -1}}}, "deployment durations must be non-negative"),
+        ({"agents": {"tariffs": ["x"]}}, "agents.tariffs"),
+        ({"agents": {"jitter_fraction": 1.5}}, "jitter fraction"),
+        ({"scenario_timeout_s": -5}, "scenario timeout must be positive"),
+        ({"runs": True}, "runs and seed must be integers"),
+        ({"sweep": {"n_systems": [1, 10]}}, "sweep.n_systems"),
+        ({"agents": {"reaction_delay_s": -1}}, "agent delays must be non-negative"),
+        ({"consensus": {"message_delay_s": -1}}, "consensus delays must be non-negative"),
+    ], ids=["negative_container_start", "non_numeric_tariff", "jitter_above_one",
+            "negative_timeout", "boolean_runs", "sweep_below_two_systems",
+            "negative_reaction_delay", "negative_message_delay"])
+    def test_rejected_in_parsing_with_one_line_reason(self, tmp_path, capsys, overrides, reason):
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        for command in ("validate-config", "run", "sweep"):
+            argv = [command, "--config", str(cfg)]
+            if command != "validate-config":
+                argv += ["--out", str(out)]
+            assert main(argv) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("invalid config: ") and reason in err
+            assert err.count("\n") == 1
+        assert not out.exists()

@@ -264,47 +264,30 @@ class TestValidatorVoting:
 class TestEventStream:
     def test_clique_events_observable_at_production_time(self):
         ledger = make_ledger(algorithm=Algorithm.CLIQUE)
-        sub = ledger.subscribe()
         ledger.submit(addr("s"), Ping(), 0)
         block = ledger.produce_block(to_micro(5.0))
-        ledger.publish_events(block, ["ev"])
-        assert sub.events[0].finality_time_us == to_micro(5.0)
+        stamped = ledger.publish_events(block, ["ev"])
+        assert stamped[0].finality_time_us == to_micro(5.0)
 
     def test_qbft_events_observable_after_finality_delay(self):
         ledger = make_ledger(4, algorithm=Algorithm.QBFT)
-        sub = ledger.subscribe()
         block = ledger.produce_block(to_micro(5.0))
-        ledger.publish_events(block, ["ev"])
-        assert sub.events[0].finality_time_us == to_micro(5.25)
+        stamped = ledger.publish_events(block, ["ev"])
+        assert stamped[0].finality_time_us == to_micro(5.25)
 
     def test_same_block_events_delivered_in_tx_order(self):
         ledger = make_ledger()
-        sub = ledger.subscribe()
         block = ledger.produce_block(to_micro(5.0))
-        ledger.publish_events(block, ["first", "second"])
-        assert [se.event for se in sub.events] == ["first", "second"]
-
-    def test_kind_filter(self):
-        class Alpha:
-            KIND = "Alpha"
-
-        class Beta:
-            KIND = "Beta"
-
-        ledger = make_ledger()
-        sub = ledger.subscribe(kinds={"Alpha"})
-        block = ledger.produce_block(to_micro(5.0))
-        ledger.publish_events(block, [Alpha(), Beta()])
-        assert [se.event.KIND for se in sub.events] == ["Alpha"]
+        stamped = ledger.publish_events(block, ["first", "second"])
+        assert [se.event for se in stamped] == ["first", "second"]
 
     def test_block_order_preserved_across_blocks(self):
         ledger = make_ledger()
-        sub = ledger.subscribe()
         b1 = ledger.produce_block(to_micro(5.0))
         b2 = ledger.produce_block(to_micro(10.0))
-        ledger.publish_events(b1, ["a"])
-        ledger.publish_events(b2, ["b"])
-        assert [se.block_height for se in sub.events] == [1, 2]
+        stamped = ledger.publish_events(b1, ["a"]) + ledger.publish_events(b2, ["b"])
+        assert [se.block_height for se in stamped] == [1, 2]
+        assert [se.event for se in stamped] == ["a", "b"]
 
 
 class TestChainDump:
