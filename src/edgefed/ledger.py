@@ -86,7 +86,7 @@ class ConsensusConfig:
                 f"QBFT with {len(self.validators)} validators cannot tolerate "
                 "a Byzantine fault (needs 3f+1 >= 4)",
                 SmallValidatorSetWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to its caller
             )
 
 
@@ -235,7 +235,9 @@ class Ledger:
         # Strictly before the boundary: a tx submitted at the production
         # instant waits for the next block.
         ready = [tx for tx in self.mempool if tx.submit_time_us < now_us]
-        ready.sort(key=lambda tx: (tx.submit_time_us, tx.sender))
+        # Sender bytes order exactly as Address (order=True over `value`)
+        # does, without a dataclass comparison per pair.
+        ready.sort(key=lambda tx: (tx.submit_time_us, tx.sender.value))
         if self.consensus.max_block_txs is not None:
             ready = ready[: self.consensus.max_block_txs]
         included = {id(tx) for tx in ready}

@@ -164,6 +164,9 @@ class AgentParams:
     def __post_init__(self):
         if min(self.attach_time_us, self.reaction_delay_us, self.rtt_us) < 0:
             raise ConfigInvalid("agent delays must be non-negative")
+        if self.genesis_balance_micro < self.deposit_micro:
+            # The contract would reject every announcement as InsufficientBalance.
+            raise ConfigInvalid("agents.genesis_balance must be at least agents.announce_deposit")
         self.pricing_context()  # rejects a bad hour, curve or jitter up front
 
     def pricing_context(self) -> PricingContext:

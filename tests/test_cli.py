@@ -181,9 +181,12 @@ class TestBadConfigExits1:
         ({"sweep": {"n_systems": [1, 10]}}, "sweep.n_systems"),
         ({"agents": {"reaction_delay_s": -1}}, "agent delays must be non-negative"),
         ({"consensus": {"message_delay_s": -1}}, "consensus delays must be non-negative"),
+        ({"agents": {"genesis_balance": 1}},
+         "agents.genesis_balance must be at least agents.announce_deposit"),
     ], ids=["negative_container_start", "non_numeric_tariff", "jitter_above_one",
             "negative_timeout", "boolean_runs", "sweep_below_two_systems",
-            "negative_reaction_delay", "negative_message_delay"])
+            "negative_reaction_delay", "negative_message_delay",
+            "genesis_balance_below_deposit"])
     def test_rejected_in_parsing_with_one_line_reason(self, tmp_path, capsys, overrides, reason):
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "out"
@@ -196,3 +199,8 @@ class TestBadConfigExits1:
             assert err.startswith("invalid config: ") and reason in err
             assert err.count("\n") == 1
         assert not out.exists()
+
+    def test_genesis_balance_equal_to_deposit_is_valid(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, agents={"genesis_balance": 10, "announce_deposit": 10})
+        assert main(["validate-config", "--config", str(cfg)]) == EXIT_OK
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK

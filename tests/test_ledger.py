@@ -207,12 +207,14 @@ class TestFinality:
             assert 0 < gap < to_micro(2.0)
 
     def test_small_qbft_set_warns(self):
-        with pytest.warns(SmallValidatorSetWarning):
+        with pytest.warns(SmallValidatorSetWarning) as record:
             ConsensusConfig(
                 algorithm=Algorithm.QBFT,
                 block_period_us=to_micro(5.0),
                 validators=(addr("v0"), addr("v1")),
             )
+        # Attributed to the constructor's caller, not the generated __init__.
+        assert [w.filename for w in record] == [__file__]
 
 
 class TestValidatorVoting:
