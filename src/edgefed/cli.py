@@ -53,8 +53,8 @@ def _common_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--runs", type=int, default=None)
 
 
-def _resolve_out(flag_value, cfg) -> Path:
-    candidate = flag_value or os.environ.get("EDGEFED_OUT") or cfg.output_dir or "edgefed-out"
+def _resolve_out(flag_value, config_dir=None) -> Path:
+    candidate = flag_value or os.environ.get("EDGEFED_OUT") or config_dir or "edgefed-out"
     return Path(candidate)
 
 
@@ -99,7 +99,7 @@ def _run_cell(cfg, out_dir: Path):
 
 def _cmd_run(args) -> int:
     cfg = _apply_overrides(simkernel.load_config(args.config), args)
-    out_dir = _resolve_out(args.out, cfg)
+    out_dir = _resolve_out(args.out, cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     traces = _run_cell(cfg, out_dir)
     try:
@@ -120,7 +120,7 @@ def _cell_config(cfg, n: int, variant: str):
 
 def _cmd_sweep(args) -> int:
     base = _apply_overrides(simkernel.load_config(args.config), args)
-    out_dir = _resolve_out(args.out, base)
+    out_dir = _resolve_out(args.out, base.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     variants = (args.consensus,) if args.consensus else base.sweep_variants
     summary_rows = []
@@ -175,7 +175,7 @@ def _cmd_compare(args) -> int:
             f"{entry['n_systems']:>4}{entry['blockchain_mean_total_s']:>14.6f}"
             f"{entry['soa_mean_total_s']:>12.6f}{entry['overhead_s']:>12.6f}"
         )
-    out_dir = Path(args.out or os.environ.get("EDGEFED_OUT") or "edgefed-out")
+    out_dir = _resolve_out(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "overhead_report.json"
     payload = {

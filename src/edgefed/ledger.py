@@ -1,15 +1,16 @@
 """Simulated permissioned ledger.
 
-Mempool admission, block production on a fixed period, round-robin proposers,
-majority-vote validator admission, and per-algorithm finality timing. There is
-no networking or signature checking: identity is asserted, and the whole chain
-is deterministic given the sequence of submissions.
+Mempool admission, block production on a fixed period, round-robin proposers
+over a fixed validator set, and per-algorithm finality timing. There is no
+networking or signature checking: identity is asserted, and the whole chain is
+deterministic given the sequence of submissions.
 """
 
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from enum import Enum
 
 from . import canonical
@@ -22,14 +23,6 @@ class LedgerError(Exception):
 
 class NonceGap(LedgerError):
     """Stale or future nonce; the transaction is rejected."""
-
-
-class NotAValidator(LedgerError):
-    pass
-
-
-class AlreadyMember(LedgerError):
-    pass
 
 
 class SmallValidatorSetWarning(UserWarning):
@@ -74,13 +67,14 @@ class ConsensusConfig:
     message_delay_us: int = to_micro(0.05)
     validation_cost_us: int = to_micro(0.05)
     validators: tuple = ()
-    max_block_txs: int | None = None
 
     def __post_init__(self):
         if self.block_period_us <= 0:
             raise ValueError("block period must be positive")
         if len(self.validators) < 1:
             raise ValueError("at least one validator is required")
+        if len(set(self.validators)) != len(self.validators):
+            raise ValueError("duplicate validator")
         if self.algorithm is Algorithm.QBFT and len(self.validators) < 4:
             warnings.warn(
                 f"QBFT with {len(self.validators)} validators cannot tolerate "
@@ -90,7 +84,7 @@ class ConsensusConfig:
             )
 
 
-def finality_delay_us(cfg: ConsensusConfig, validator_count: int | None = None) -> int:
+def finality_delay_us(cfg: ConsensusConfig) -> int:
     """Delay between a block's production and its observability.
 
     Clique blocks are usable at production time (forks are out of scope, so no
@@ -99,7 +93,7 @@ def finality_delay_us(cfg: ConsensusConfig, validator_count: int | None = None) 
     """
     if cfg.algorithm is Algorithm.CLIQUE:
         return 0
-    n = len(cfg.validators) if validator_count is None else validator_count
+    n = len(cfg.validators)
     rounds = max(n - 1, 0).bit_length()  # == ceil(log2(n)) for n >= 1
     return 3 * cfg.message_delay_us + cfg.validation_cost_us * rounds
 
@@ -127,37 +121,6 @@ def block_digest(block: Block) -> str:
     return canonical.digest(block)
 
 
-@dataclass
-class ValidatorSet:
-    """Ordered members plus pending admission votes.
-
-    A candidate joins once strictly more than half of the current members have
-    voted for it; admission is monotone (votes never remove anyone).
-    """
-
-    members: list
-    pending_votes: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("validator set must be non-empty")
-        if len(set(self.members)) != len(self.members):
-            raise ValueError("duplicate validator")
-
-    def vote_add(self, voter: Address, candidate: Address) -> bool:
-        if voter not in self.members:
-            raise NotAValidator(f"{voter} is not a validator")
-        if candidate in self.members:
-            raise AlreadyMember(f"{candidate} is already a member")
-        votes = self.pending_votes.setdefault(candidate, set())
-        votes.add(voter)
-        if len(votes) * 2 > len(self.members):
-            self.members.append(candidate)
-            del self.pending_votes[candidate]
-            return True
-        return False
-
-
 @dataclass(frozen=True)
 class StampedEvent:
     block_height: int
@@ -168,16 +131,18 @@ class StampedEvent:
 class Ledger:
     def __init__(self, consensus: ConsensusConfig):
         self.consensus = consensus
-        self.validators = ValidatorSet(list(consensus.validators))
+        self._finality_delay_us = finality_delay_us(consensus)
         genesis = Block(
             height=0,
-            proposer=self.validators.members[0],
+            proposer=consensus.validators[0],
             timestamp_us=0,
             txs=(),
             parent_digest="",
-            finality_time_us=self.finality_delay_us(),
+            finality_time_us=self._finality_delay_us,
         )
         self.chain: list[Block] = [genesis]
+        # In submission order, which is clock order: submit_transaction
+        # enforces it, so the transactions ready for a block are a prefix.
         self.mempool: list[Transaction] = []
         self._last_nonce: dict[Address, int] = {}
         self._next_tx_id = 0
@@ -202,6 +167,8 @@ class Ledger:
             raise LedgerError("submit_time must equal the current clock")
         if tx.submit_time_us < 0:
             raise LedgerError("submit_time must be non-negative")
+        if self.mempool and tx.submit_time_us < self.mempool[-1].submit_time_us:
+            raise LedgerError("submit_time must not precede the last pending submission")
         self._last_nonce[tx.sender] = tx.nonce
         self._next_tx_id = tx.id + 1
         self.mempool.append(tx)
@@ -221,34 +188,27 @@ class Ledger:
     def next_block_time_us(self) -> int:
         return len(self.chain) * self.consensus.block_period_us
 
-    def finality_delay_us(self) -> int:
-        return finality_delay_us(self.consensus, len(self.validators.members))
-
     def produce_block(self, now_us: int) -> Block:
         if now_us != self.next_block_time_us():
             raise ValueError(
                 f"block production at t={now_us}us, expected t={self.next_block_time_us()}us"
             )
         height = len(self.chain)
-        members = self.validators.members
-        proposer = members[height % len(members)]
+        validators = self.consensus.validators
         # Strictly before the boundary: a tx submitted at the production
         # instant waits for the next block.
-        ready = [tx for tx in self.mempool if tx.submit_time_us < now_us]
+        cut = bisect_left(self.mempool, now_us, key=lambda tx: tx.submit_time_us)
+        ready, self.mempool = self.mempool[:cut], self.mempool[cut:]
         # Sender bytes order exactly as Address (order=True over `value`)
         # does, without a dataclass comparison per pair.
         ready.sort(key=lambda tx: (tx.submit_time_us, tx.sender.value))
-        if self.consensus.max_block_txs is not None:
-            ready = ready[: self.consensus.max_block_txs]
-        included = {id(tx) for tx in ready}
-        self.mempool = [tx for tx in self.mempool if id(tx) not in included]
         block = Block(
             height=height,
-            proposer=proposer,
+            proposer=validators[height % len(validators)],
             timestamp_us=now_us,
             txs=tuple(ready),
             parent_digest=block_digest(self.chain[-1]),
-            finality_time_us=now_us + self.finality_delay_us(),
+            finality_time_us=now_us + self._finality_delay_us,
         )
         self.chain.append(block)
         return block
@@ -260,16 +220,6 @@ class Ledger:
             if block.parent_digest != block_digest(prev):
                 return False
         return True
-
-    # -- governance --------------------------------------------------------
-
-    def vote_add_validator(self, voter: Address, candidate: Address) -> bool:
-        """Record a vote; on majority the candidate joins the rotation.
-
-        Membership is consulted at each block production, so a promotion takes
-        effect at the next block boundary.
-        """
-        return self.validators.vote_add(voter, candidate)
 
     # -- events --------------------------------------------------------------
 

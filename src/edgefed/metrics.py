@@ -190,7 +190,6 @@ def _trace_row(trace: FederationTrace, scenario_id, consensus, n_systems) -> dic
     else:
         for name in SEGMENTS:
             row[f"{name}_s"] = ""
-        row["total_s"] = ""
     return row
 
 

@@ -37,7 +37,6 @@ from .contract import (
     FederationClosed,
     FederationContract,
     OverlayEndpoint,
-    Phase,
     ProviderChosen,
     ServiceAnnounced,
     ServiceRequirements,
@@ -167,6 +166,9 @@ class AgentParams:
         if self.genesis_balance_micro < self.deposit_micro:
             # The contract would reject every announcement as InsufficientBalance.
             raise ConfigInvalid("agents.genesis_balance must be at least agents.announce_deposit")
+        if self.deposit_micro < self.sla.penalty_micro:
+            # The contract would reject every announcement as DepositBelowPenalty.
+            raise ConfigInvalid("agents.announce_deposit must be at least agents.sla.penalty")
         self.pricing_context()  # rejects a bad hour, curve or jitter up front
 
     def pricing_context(self) -> PricingContext:
@@ -500,6 +502,9 @@ class _ChainRun:
         self.kernel = EventQueue()
         self.runtime = _Runtime(self.kernel, self.ledger)
         self.stamped_events = []
+        # FederationClosed events executed so far; contract phases change only
+        # in execute_block, so this equals the count of CLOSED federations.
+        self._closed = 0
         rngs = SeededRng(cfg.seed)
         ctx = cfg.agents.pricing_context()
         abstain_prob = cfg.agents.abstain_probability
@@ -566,6 +571,7 @@ class _ChainRun:
         now = self.kernel.now_us
         block = self.ledger.produce_block(now)
         events = self.contract.execute_block(block)
+        self._closed += sum(isinstance(ev, FederationClosed) for ev in events)
         stamped = self.ledger.publish_events(block, events)
         self.stamped_events.extend(stamped)
         if stamped:
@@ -573,7 +579,7 @@ class _ChainRun:
                 block.finality_time_us, lambda batch=stamped: self._deliver(batch)
             )
         next_time = self.ledger.next_block_time_us()
-        if not self._all_closed() and next_time <= self.cfg.timeout_us:
+        if self._closed < len(self.consumers) and next_time <= self.cfg.timeout_us:
             self.kernel.schedule(next_time, self._on_block_time)
 
     def _deliver(self, batch):
@@ -601,21 +607,12 @@ class _ChainRun:
     def _maybe_start_next_consumer(self, se):
         if not isinstance(se.event, FederationClosed):
             return
-        closed_count = sum(
-            1 for r in self.contract.federations.values() if r.phase >= Phase.CLOSED
-        )
-        if closed_count < len(self.consumers):
-            nxt = self.consumers[closed_count]
+        if self._closed < len(self.consumers):
+            nxt = self.consumers[self._closed]
             if nxt.announce_submitted_us is None:
                 self.kernel.schedule(
                     se.finality_time_us + self.cfg.agents.reaction_delay_us, nxt.announce
                 )
-
-    def _all_closed(self) -> bool:
-        feds = self.contract.federations
-        if len(feds) < len(self.consumers):
-            return False
-        return all(r.phase >= Phase.CLOSED for r in feds.values())
 
     def _traces(self) -> list:
         jobs = {}

@@ -13,10 +13,6 @@ def to_micro(value: float) -> int:
     return round(value * MICRO)
 
 
-def from_micro(value: int) -> float:
-    return value / MICRO
-
-
 def format_micro(value: int) -> str:
     """Render an integer-micro value with exactly six fractional digits."""
     sign = "-" if value < 0 else ""
@@ -32,8 +28,3 @@ def parse_micro(text: str) -> int:
     whole, _, frac = text.partition(".")
     frac = (frac + "000000")[:6]
     return sign * (int(whole or "0") * MICRO + int(frac or "0"))
-
-
-def next_boundary(now_us: int, period_us: int) -> int:
-    """First multiple of period_us strictly after now_us."""
-    return (now_us // period_us + 1) * period_us

@@ -183,10 +183,12 @@ class TestBadConfigExits1:
         ({"consensus": {"message_delay_s": -1}}, "consensus delays must be non-negative"),
         ({"agents": {"genesis_balance": 1}},
          "agents.genesis_balance must be at least agents.announce_deposit"),
+        ({"agents": {"announce_deposit": 1}},
+         "agents.announce_deposit must be at least agents.sla.penalty"),
     ], ids=["negative_container_start", "non_numeric_tariff", "jitter_above_one",
             "negative_timeout", "boolean_runs", "sweep_below_two_systems",
             "negative_reaction_delay", "negative_message_delay",
-            "genesis_balance_below_deposit"])
+            "genesis_balance_below_deposit", "deposit_below_penalty"])
     def test_rejected_in_parsing_with_one_line_reason(self, tmp_path, capsys, overrides, reason):
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "out"
@@ -202,5 +204,10 @@ class TestBadConfigExits1:
 
     def test_genesis_balance_equal_to_deposit_is_valid(self, tmp_path, capsys):
         cfg = write_config(tmp_path, agents={"genesis_balance": 10, "announce_deposit": 10})
+        assert main(["validate-config", "--config", str(cfg)]) == EXIT_OK
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+    def test_deposit_equal_to_penalty_is_valid(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, agents={"announce_deposit": 2, "sla": {"penalty": 2}})
         assert main(["validate-config", "--config", str(cfg)]) == EXIT_OK
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK

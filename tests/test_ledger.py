@@ -7,21 +7,19 @@ from edgefed.canonical import digest
 from edgefed.ledger import (
     Address,
     Algorithm,
-    AlreadyMember,
     Block,
     ConsensusConfig,
     Ledger,
+    LedgerError,
     NonceGap,
-    NotAValidator,
     SmallValidatorSetWarning,
     StampedEvent,
     Transaction,
-    ValidatorSet,
     block_digest,
     finality_delay_us,
     write_chain_dump,
 )
-from edgefed.units import next_boundary, to_micro
+from edgefed.units import to_micro
 
 from conftest import addr, clique_config, qbft_config
 
@@ -108,6 +106,13 @@ class TestSubmission:
         txs = [ledger.submit(sender, Ping(), 0) for _ in range(3)]
         assert [tx.nonce for tx in txs] == [0, 1, 2]
 
+    def test_submission_earlier_than_last_pending_rejected(self):
+        ledger = make_ledger()
+        ledger.submit(addr("a"), Ping(), to_micro(2.0))
+        with pytest.raises(LedgerError):
+            ledger.submit(addr("b"), Ping(), to_micro(1.0))
+        assert [tx.sender for tx in ledger.mempool] == [addr("a")]
+
     def test_inclusion_bound_for_random_submission_times(self):
         # Every tx submitted at t lands in the block at period * (floor(t/period) + 1).
         period = to_micro(5.0)
@@ -118,7 +123,7 @@ class TestSubmission:
         for i, t in enumerate(times):
             sender = addr(f"s{i}")
             tx = ledger.submit(sender, Ping(), t)
-            expected[tx.id] = next_boundary(t, period)
+            expected[tx.id] = (t // period + 1) * period
         now = period
         while ledger.mempool:
             block = ledger.produce_block(now)
@@ -132,7 +137,7 @@ class TestSubmission:
 class TestBlockProduction:
     def test_round_robin_proposer_index(self):
         ledger = make_ledger(3)
-        validators = ledger.validators.members
+        validators = ledger.consensus.validators
         for t in range(1, 5):
             ledger.produce_block(to_micro(5.0 * t))
         assert ledger.chain[4].proposer == validators[4 % 3]
@@ -156,13 +161,6 @@ class TestBlockProduction:
         for i in range(3):
             ledger.submit(addr(f"s{i}"), Ping(), to_micro(1.0))
         assert len(ledger.produce_block(to_micro(5.0)).txs) == 3
-
-    def test_optional_block_cap_defers_overflow(self):
-        ledger = make_ledger(max_block_txs=2)
-        for i in range(3):
-            ledger.submit(addr(f"s{i}"), Ping(), to_micro(1.0))
-        assert len(ledger.produce_block(to_micro(5.0)).txs) == 2
-        assert len(ledger.produce_block(to_micro(10.0)).txs) == 1
 
     def test_timestamp_is_height_times_period(self):
         ledger = make_ledger()
@@ -216,51 +214,9 @@ class TestFinality:
         # Attributed to the constructor's caller, not the generated __init__.
         assert [w.filename for w in record] == [__file__]
 
-
-class TestValidatorVoting:
-    def test_majority_of_three_admits(self):
-        vs = ValidatorSet([addr("a"), addr("b"), addr("c")])
-        assert vs.vote_add(addr("a"), addr("d")) is False
-        assert vs.vote_add(addr("b"), addr("d")) is True  # 2 > 1.5
-        assert addr("d") in vs.members
-        assert addr("d") not in vs.pending_votes
-
-    def test_single_vote_of_three_stays_pending(self):
-        vs = ValidatorSet([addr("a"), addr("b"), addr("c")])
-        assert vs.vote_add(addr("a"), addr("d")) is False
-        assert addr("d") not in vs.members
-
-    def test_half_of_four_is_not_a_majority(self):
-        vs = ValidatorSet([addr(c) for c in "abcd"])
-        vs.vote_add(addr("a"), addr("e"))
-        assert vs.vote_add(addr("b"), addr("e")) is False  # 2 > 2 fails
-        assert vs.vote_add(addr("c"), addr("e")) is True
-
-    def test_non_member_cannot_vote(self):
-        vs = ValidatorSet([addr("a")])
-        with pytest.raises(NotAValidator):
-            vs.vote_add(addr("z"), addr("d"))
-
-    def test_existing_member_cannot_be_candidate(self):
-        vs = ValidatorSet([addr("a"), addr("b")])
-        with pytest.raises(AlreadyMember):
-            vs.vote_add(addr("a"), addr("b"))
-
-    def test_admission_is_monotone(self):
-        vs = ValidatorSet([addr("a"), addr("b"), addr("c")])
-        before = list(vs.members)
-        vs.vote_add(addr("a"), addr("d"))
-        vs.vote_add(addr("b"), addr("d"))
-        assert [m for m in before if m not in vs.members] == []
-
-    def test_promotion_applies_to_next_produced_block(self):
-        ledger = make_ledger(3)
-        members = list(ledger.validators.members)
-        ledger.vote_add_validator(members[0], addr("new"))
-        ledger.vote_add_validator(members[1], addr("new"))
-        block = ledger.produce_block(to_micro(5.0))
-        # height 1 mod 4 validators: rotation now includes the new member
-        assert block.proposer == ledger.validators.members[1 % 4]
+    def test_repeated_validator_rejected(self):
+        with pytest.raises(ValueError, match="duplicate validator"):
+            clique_config([addr("v0"), addr("v1"), addr("v0")])
 
 
 class TestEventStream:
