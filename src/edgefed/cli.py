@@ -64,8 +64,6 @@ def _apply_overrides(cfg, args):
     if args.consensus is not None:
         cfg = replace(cfg, variant=args.consensus)
     if args.runs is not None:
-        if args.runs < 1:
-            raise ConfigInvalid("--runs must be >= 1")
         cfg = replace(cfg, runs=args.runs)
     return cfg
 

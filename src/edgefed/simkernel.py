@@ -18,8 +18,10 @@ event queue's schedule sequence and so every output byte.
 import hashlib
 import heapq
 import json
+import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 from .agents import (
     ConsumerAgent,
@@ -115,15 +117,10 @@ class SeededRng:
 # -- topology ----------------------------------------------------------------------
 
 
-_REFERENCE_SPLITS = {2: (1, 1), 10: (8, 2), 15: (12, 3), 25: (20, 5), 30: (24, 6)}
-
-
 def generate_topology(n_systems: int) -> tuple[int, int]:
     """(consumers, providers) under the stub-heavy 80:20 role ratio."""
     if n_systems < 2:
         raise TooFewSystems(f"need at least 2 systems, got {n_systems}")
-    if n_systems in _REFERENCE_SPLITS:
-        return _REFERENCE_SPLITS[n_systems]
     # round(n/5) without float rounding artifacts; .5 halves cannot occur.
     providers = max(1, (2 * n_systems + 5) // 10)
     return (n_systems - providers, providers)
@@ -152,9 +149,9 @@ class AgentParams:
     reaction_delay_us: int = to_micro(0.1)
     rtt_us: int = to_micro(0.05)
     tariffs_micro: tuple = tuple(to_micro(t) for t in DEFAULT_TARIFFS)
-    time_factor_curve: tuple = DEFAULT_TIME_FACTOR_CURVE
-    hour_of_day: int = 12
-    jitter_fraction: float = 0.05
+    pricing: PricingContext = PricingContext(
+        hour_of_day=12, time_factor_curve=DEFAULT_TIME_FACTOR_CURVE, jitter_fraction=0.05
+    )
     abstain_probability: float = 0.0
     deposit_micro: int = to_micro(10.0)
     sla: SlaTerms = SlaTerms.from_floats(0.99, 50.0, 2.0)
@@ -163,20 +160,17 @@ class AgentParams:
     def __post_init__(self):
         if min(self.attach_time_us, self.reaction_delay_us, self.rtt_us) < 0:
             raise ConfigInvalid("agent delays must be non-negative")
+        if not self.tariffs_micro:
+            raise ConfigInvalid("agents.tariffs must not be empty")
+        if not 0 <= self.abstain_probability <= 1:
+            # A probability: above 1 would read as 1 and below 0 as 0, silently.
+            raise ConfigInvalid("agents.abstain_probability must be in [0, 1]")
         if self.genesis_balance_micro < self.deposit_micro:
             # The contract would reject every announcement as InsufficientBalance.
             raise ConfigInvalid("agents.genesis_balance must be at least agents.announce_deposit")
         if self.deposit_micro < self.sla.penalty_micro:
             # The contract would reject every announcement as DepositBelowPenalty.
             raise ConfigInvalid("agents.announce_deposit must be at least agents.sla.penalty")
-        self.pricing_context()  # rejects a bad hour, curve or jitter up front
-
-    def pricing_context(self) -> PricingContext:
-        return PricingContext(
-            hour_of_day=self.hour_of_day,
-            time_factor_curve=self.time_factor_curve,
-            jitter_fraction=self.jitter_fraction,
-        )
 
 
 @dataclass(frozen=True)
@@ -199,14 +193,19 @@ class ScenarioConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        if (not isinstance(self.scenario_id, str) or self.scenario_id in ("", ".", "..")
+                or any(c in self.scenario_id for c in "/\\\0")):
+            # It starts every output file name, so it must not leave the output directory.
+            raise ConfigInvalid(f"scenario_id must be a plain file name, got {self.scenario_id!r}")
         if self.consumers + self.providers != self.n_systems:
             raise ConfigInvalid(
                 f"split ({self.consumers},{self.providers}) does not sum to n_systems={self.n_systems}"
             )
         if self.consumers < 1 or self.providers < 1:
             raise ConfigInvalid("need at least one consumer and one provider")
-        if self.variant not in VARIANTS:
-            raise ConfigInvalid(f"unknown variant {self.variant!r}")
+        for variant in (self.variant, *self.sweep_variants):
+            if variant not in VARIANTS:
+                raise ConfigInvalid(f"unknown variant {variant!r}, expected one of {VARIANTS}")
         if self.concurrency_mode not in (MODE_SINGLE, MODE_ALL):
             raise ConfigInvalid(f"unknown concurrency mode {self.concurrency_mode!r}")
         if self.runs < 1:
@@ -217,158 +216,140 @@ class ScenarioConfig:
             raise ConfigInvalid("consensus delays must be non-negative")
         if self.timeout_us <= 0:
             raise ConfigInvalid("scenario timeout must be positive")
+        if any(n < 2 for n in self.sweep_n):
+            raise ConfigInvalid("sweep.n_systems must each be at least 2")
+        if not isinstance(self.output_dir, (str, type(None))):
+            raise ConfigInvalid("output.dir must be a string")
 
 
-def _require_keys(section: dict, allowed, where: str) -> None:
-    unknown = set(section) - set(allowed)
-    if unknown:
-        raise ConfigInvalid(f"unknown key(s) {sorted(unknown)} in {where}")
+def _number(convert, integer: bool = False):
+    """Reader of a JSON number, never a bool: any int if `integer`, else an
+    int or float finite as a float. `convert` maps it to its field."""
+    def read(value, where: str):
+        try:
+            if (isinstance(value, int if integer else (int, float))
+                    and not isinstance(value, bool) and (integer or math.isfinite(value))):
+                return convert(value)
+        except OverflowError:  # beyond the float range, before or after `convert`
+            pass
+        raise ConfigInvalid(f"{where} must be {'an integer' if integer else 'a finite number'}")
+    return read
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+_integer = _number(int, integer=True)
+_real = _number(float)
+_micro = _number(to_micro)  # seconds or currency units as integer millionths
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _get_number(section, key, default, where):
-    value = section.get(key, default)
-    if not _is_number(value):
-        raise ConfigInvalid(f"{where}.{key} must be a number")
+def _as_is(value, where: str):
+    """A string; the dataclass that holds it checks its value."""
     return value
 
 
+def _list_of(read_item):
+    def read(value, where: str) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigInvalid(f"{where} must be a list")
+        return tuple(read_item(item, f"{where}[{i}]") for i, item in enumerate(value))
+    return read
+
+
+def _section(value, where: str, table: dict) -> dict:
+    """The dataclass arguments that the JSON object `value` sets.
+
+    `table` maps each key the object may hold to (field, reader) or, for a
+    nested object whose keys are fields of the same dataclass, to that
+    object's table. A key the object leaves out gives no argument, so its
+    field keeps the dataclass default. Any other key is rejected.
+    """
+    name = where or "scenario document"
+    if not isinstance(value, dict):
+        raise ConfigInvalid(f"{name} must be a JSON object")
+    unknown = set(value) - set(table)
+    if unknown:
+        raise ConfigInvalid(f"unknown key(s) {sorted(unknown)} in {name}")
+    args = {}
+    for key, item in value.items():
+        path, entry = f"{where}.{key}" if where else key, table[key]
+        if isinstance(entry, dict):
+            args.update(_section(item, path, entry))
+        else:
+            args[entry[0]] = entry[1](item, path)
+    return args
+
+
+def _object(build, table):
+    """Reader of a nested JSON object: `build` called with its arguments."""
+    return lambda value, where: build(**_section(value, where, table))
+
+
+def _agent_params(**args) -> AgentParams:
+    # The pricing keys sit in the agents object itself.
+    pricing = {f.name: args.pop(f.name) for f in fields(PricingContext) if f.name in args}
+    return AgentParams(pricing=replace(AgentParams.pricing, **pricing), **args)
+
+
+# The scenario document's schema. A key maps to (dataclass field, reader) or,
+# for a nested object whose keys are fields of the same dataclass, to that
+# object's own table.
+_SCHEMA = {
+    "scenario_id": ("scenario_id", _as_is),
+    "topology": {"n_systems": ("n_systems", _integer), "split": ("split", _list_of(_integer))},
+    "consensus": {
+        "algorithm": ("variant", _as_is),
+        "block_period_s": ("block_period_us", _micro),
+        "message_delay_s": ("message_delay_us", _micro),
+        "validation_cost_s": ("validation_cost_us", _micro),
+    },
+    "agents": ("agents", _object(_agent_params, {
+        "deployment": ("deploy_model", _object(DeploymentModel, {
+            "container_start_s": ("container_start_us", _micro),
+            "vxlan_setup_s": ("vxlan_setup_us", _micro),
+            "confirm_overhead_s": ("confirm_overhead_us", _micro),
+        })),
+        "attach_time_s": ("attach_time_us", _micro),
+        "reaction_delay_s": ("reaction_delay_us", _micro),
+        "rtt_s": ("rtt_us", _micro),
+        "tariffs": ("tariffs_micro", _list_of(_micro)),
+        "time_factor_curve": ("time_factor_curve", _list_of(_real)),
+        "hour_of_day": ("hour_of_day", _integer),
+        "jitter_fraction": ("jitter_fraction", _real),
+        "abstain_probability": ("abstain_probability", _real),
+        "announce_deposit": ("deposit_micro", _micro),
+        "sla": ("sla", _object(partial(replace, AgentParams.sla), {
+            "min_availability": ("min_availability_micro", _micro),
+            "max_latency_ms": ("max_latency_us", _number(lambda ms: round(ms * 1000))),
+            "penalty": ("penalty_micro", _micro),
+        })),
+        "genesis_balance": ("genesis_balance_micro", _micro),
+    })),
+    "runs": ("runs", _integer),
+    "seed": ("seed", _integer),
+    "concurrency_mode": ("concurrency_mode", _as_is),
+    "scenario_timeout_s": ("timeout_us", _micro),
+    "sweep": {
+        "n_systems": ("sweep_n", _list_of(_integer)),
+        "variants": ("sweep_variants", _list_of(_as_is)),
+    },
+    "output": {"dir": ("output_dir", _as_is)},
+}
+
+
 def parse_config(data: dict, scenario_id: str = "scenario") -> ScenarioConfig:
-    """Validate a scenario document; unknown keys are rejected outright."""
-    if not isinstance(data, dict):
-        raise ConfigInvalid("scenario document must be a JSON object")
-    _require_keys(
-        data,
-        {"scenario_id", "topology", "consensus", "agents", "runs", "seed",
-         "concurrency_mode", "scenario_timeout_s", "sweep", "output"},
-        "scenario",
-    )
-
-    topology = data.get("topology", {})
-    _require_keys(topology, {"n_systems", "split"}, "topology")
-    n_systems = topology.get("n_systems", 2)
-    if not _is_int(n_systems):
-        raise ConfigInvalid("topology.n_systems must be an integer")
-    if "split" in topology:
-        split = topology["split"]
-        if (not isinstance(split, (list, tuple)) or len(split) != 2
-                or not all(_is_int(v) for v in split)):
-            raise ConfigInvalid("topology.split must be [consumers, providers]")
-        consumers, providers = split
-    else:
-        try:
-            consumers, providers = generate_topology(n_systems)
-        except TooFewSystems as err:
-            raise ConfigInvalid(str(err)) from err
-
-    consensus = data.get("consensus", {})
-    _require_keys(
-        consensus,
-        {"algorithm", "block_period_s", "message_delay_s", "validation_cost_s"},
-        "consensus",
-    )
-    variant = consensus.get("algorithm", "clique")
-    if variant not in VARIANTS:
-        raise ConfigInvalid(f"consensus.algorithm must be one of {VARIANTS}")
-
-    agents_cfg = data.get("agents", {})
-    _require_keys(
-        agents_cfg,
-        {"deployment", "attach_time_s", "reaction_delay_s", "rtt_s", "tariffs",
-         "time_factor_curve", "hour_of_day", "jitter_fraction",
-         "abstain_probability", "announce_deposit", "sla", "genesis_balance"},
-        "agents",
-    )
-    deployment = agents_cfg.get("deployment", {})
-    _require_keys(
-        deployment,
-        {"container_start_s", "vxlan_setup_s", "confirm_overhead_s"},
-        "agents.deployment",
-    )
-    tariffs = agents_cfg.get("tariffs", list(DEFAULT_TARIFFS))
-    if (not isinstance(tariffs, (list, tuple)) or not tariffs
-            or not all(_is_number(t) for t in tariffs)):
-        raise ConfigInvalid("agents.tariffs must be a non-empty list of numbers")
-    curve = agents_cfg.get("time_factor_curve", list(DEFAULT_TIME_FACTOR_CURVE))
-    if (not isinstance(curve, (list, tuple)) or len(curve) != 24
-            or not all(_is_number(f) for f in curve)):
-        raise ConfigInvalid("agents.time_factor_curve must list 24 multipliers")
-    sla_cfg = agents_cfg.get("sla", {})
-    _require_keys(sla_cfg, {"min_availability", "max_latency_ms", "penalty"}, "agents.sla")
-    hour = agents_cfg.get("hour_of_day", 12)
-    if not _is_int(hour) or not 0 <= hour <= 23:
-        raise ConfigInvalid("agents.hour_of_day must be an integer in 0..23")
-
-    sweep = data.get("sweep", {})
-    _require_keys(sweep, {"n_systems", "variants"}, "sweep")
-    sweep_n = sweep.get("n_systems", (2, 10, 15, 25, 30))
-    if not isinstance(sweep_n, (list, tuple)) or not all(_is_int(n) and n >= 2 for n in sweep_n):
-        raise ConfigInvalid("sweep.n_systems must be a list of integers >= 2")
-    sweep_n = tuple(sweep_n)
-    sweep_variants = tuple(sweep.get("variants", VARIANTS))
-    for v in sweep_variants:
-        if v not in VARIANTS:
-            raise ConfigInvalid(f"sweep variant {v!r} must be one of {VARIANTS}")
-
-    output = data.get("output", {})
-    _require_keys(output, {"dir"}, "output")
-
-    runs = data.get("runs", 20)
-    seed = data.get("seed", 1)
-    if not _is_int(runs) or not _is_int(seed):
-        raise ConfigInvalid("runs and seed must be integers")
-
+    """Validate a scenario document against _SCHEMA; unknown keys are
+    rejected outright. A field the document leaves out keeps its default."""
     # The dataclasses check value ranges; their ValueErrors become ConfigInvalid.
     try:
-        deploy_model = DeploymentModel(
-            container_start_us=to_micro(_get_number(deployment, "container_start_s", 1.5, "agents.deployment")),
-            vxlan_setup_us=to_micro(_get_number(deployment, "vxlan_setup_s", 0.5, "agents.deployment")),
-            confirm_overhead_us=to_micro(_get_number(deployment, "confirm_overhead_s", 0.1, "agents.deployment")),
-        )
-        agent_params = AgentParams(
-            deploy_model=deploy_model,
-            attach_time_us=to_micro(_get_number(agents_cfg, "attach_time_s", 0.5, "agents")),
-            reaction_delay_us=to_micro(_get_number(agents_cfg, "reaction_delay_s", 0.1, "agents")),
-            rtt_us=to_micro(_get_number(agents_cfg, "rtt_s", 0.05, "agents")),
-            tariffs_micro=tuple(to_micro(t) for t in tariffs),
-            time_factor_curve=tuple(float(f) for f in curve),
-            hour_of_day=hour,
-            jitter_fraction=float(_get_number(agents_cfg, "jitter_fraction", 0.05, "agents")),
-            abstain_probability=float(_get_number(agents_cfg, "abstain_probability", 0.0, "agents")),
-            deposit_micro=to_micro(_get_number(agents_cfg, "announce_deposit", 10.0, "agents")),
-            sla=SlaTerms.from_floats(
-                _get_number(sla_cfg, "min_availability", 0.99, "agents.sla"),
-                _get_number(sla_cfg, "max_latency_ms", 50.0, "agents.sla"),
-                _get_number(sla_cfg, "penalty", 2.0, "agents.sla"),
-            ),
-            genesis_balance_micro=to_micro(_get_number(agents_cfg, "genesis_balance", 100.0, "agents")),
-        )
-        return ScenarioConfig(
-            scenario_id=str(data.get("scenario_id", scenario_id)),
-            n_systems=n_systems,
-            consumers=consumers,
-            providers=providers,
-            variant=variant,
-            block_period_us=to_micro(_get_number(consensus, "block_period_s", 5.0, "consensus")),
-            message_delay_us=to_micro(_get_number(consensus, "message_delay_s", 0.05, "consensus")),
-            validation_cost_us=to_micro(_get_number(consensus, "validation_cost_s", 0.05, "consensus")),
-            agents=agent_params,
-            runs=runs,
-            seed=seed,
-            concurrency_mode=data.get("concurrency_mode", MODE_ALL),
-            timeout_us=to_micro(_get_number(data, "scenario_timeout_s", 300.0, "scenario")),
-            sweep_n=sweep_n,
-            sweep_variants=sweep_variants,
-            output_dir=output.get("dir"),
-        )
-    except (ValueError, TypeError) as err:
+        args = {"scenario_id": scenario_id, **_section(data, "", _SCHEMA)}
+        split = args.pop("split", None)  # not a field: it sets consumers and providers
+        if split is None and "n_systems" in args:
+            split = generate_topology(args["n_systems"])
+        if split is not None:
+            if len(split) != 2:
+                raise ConfigInvalid("topology.split must be [consumers, providers]")
+            args["consumers"], args["providers"] = split
+        return ScenarioConfig(**args)
+    except (ValueError, TooFewSystems) as err:
         raise ConfigInvalid(str(err)) from err
 
 
@@ -380,9 +361,7 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigInvalid(f"config file not found: {path}") from err
     except json.JSONDecodeError as err:
         raise ConfigInvalid(f"config is not valid JSON: {err}") from err
-    stem = str(path).rsplit("/", 1)[-1]
-    stem = stem[:-5] if stem.endswith(".json") else stem
-    return parse_config(data, scenario_id=stem)
+    return parse_config(data, scenario_id=str(path).rsplit("/", 1)[-1].removesuffix(".json"))
 
 
 # -- participants ---------------------------------------------------------------
@@ -506,7 +485,7 @@ class _ChainRun:
         # in execute_block, so this equals the count of CLOSED federations.
         self._closed = 0
         rngs = SeededRng(cfg.seed)
-        ctx = cfg.agents.pricing_context()
+        ctx = cfg.agents.pricing
         abstain_prob = cfg.agents.abstain_probability
 
         self.providers = []
@@ -647,7 +626,7 @@ def _run_soa(cfg: ScenarioConfig, run_index: int) -> RunResult:
     participants = build_participants(cfg)
     consumer_profiles, provider_profiles = build_profiles(cfg, participants)
     rngs = SeededRng(cfg.seed)
-    ctx = cfg.agents.pricing_context()
+    ctx = cfg.agents.pricing
     streams = {
         profile.address: rngs.stream(f"pricing/run{run_index}/provider{rank}")
         for rank, profile in enumerate(provider_profiles)

@@ -194,7 +194,8 @@ class TestSoaBaseline:
         from dataclasses import replace
 
         cfg = scenario(n=10, runs=1)
-        cfg = replace(cfg, agents=replace(cfg.agents, jitter_fraction=0.0))
+        agents = cfg.agents
+        cfg = replace(cfg, agents=replace(agents, pricing=replace(agents.pricing, jitter_fraction=0.0)))
         chain_trace = run_once(cfg, 0).traces[0]
         soa_trace = run_once(replace(cfg, variant="soa"), 0).traces[0]
         assert chain_trace.winner == soa_trace.winner

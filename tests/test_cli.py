@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -57,6 +58,13 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out), "--runs", "3"]) == EXIT_OK
         rows = (out / "cli_clique_2.csv").read_text().splitlines()
         assert len(rows) == 1 + 3
+
+    def test_runs_override_below_one_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--runs", "0"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "invalid config: runs must be >= 1\n"
+        assert not out.exists()
 
     def test_timeout_without_completions_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, scenario_timeout_s=1.0)
@@ -177,7 +185,7 @@ class TestBadConfigExits1:
         ({"agents": {"tariffs": ["x"]}}, "agents.tariffs"),
         ({"agents": {"jitter_fraction": 1.5}}, "jitter fraction"),
         ({"scenario_timeout_s": -5}, "scenario timeout must be positive"),
-        ({"runs": True}, "runs and seed must be integers"),
+        ({"runs": True}, "runs must be an integer"),
         ({"sweep": {"n_systems": [1, 10]}}, "sweep.n_systems"),
         ({"agents": {"reaction_delay_s": -1}}, "agent delays must be non-negative"),
         ({"consensus": {"message_delay_s": -1}}, "consensus delays must be non-negative"),
@@ -185,10 +193,34 @@ class TestBadConfigExits1:
          "agents.genesis_balance must be at least agents.announce_deposit"),
         ({"agents": {"announce_deposit": 1}},
          "agents.announce_deposit must be at least agents.sla.penalty"),
+        ({"topology": 5}, "topology must be a JSON object"),
+        ({"agents": []}, "agents must be a JSON object"),
+        ({"agents": {"deployment": []}}, "agents.deployment must be a JSON object"),
+        ({"agents": {"sla": []}}, "agents.sla must be a JSON object"),
+        ({"output": []}, "output must be a JSON object"),
+        ({"sweep": {"variants": 5}}, "sweep.variants must be a list"),
+        ({"sweep": {"variants": "clique"}}, "sweep.variants must be a list"),
+        ({"scenario_timeout_s": math.inf}, "scenario_timeout_s must be a finite number"),
+        ({"consensus": {"block_period_s": math.inf}}, "consensus.block_period_s must be a finite number"),
+        ({"consensus": {"block_period_s": math.nan}}, "consensus.block_period_s must be a finite number"),
+        ({"agents": {"tariffs": [math.inf]}}, "agents.tariffs[0] must be a finite number"),
+        ({"agents": {"tariffs": [0.1, math.nan]}}, "agents.tariffs[1] must be a finite number"),
+        ({"agents": {"tariffs": []}}, "agents.tariffs must not be empty"),
+        ({"scenario_timeout_s": 1e303}, "scenario_timeout_s must be a finite number"),
+        ({"output": {"dir": 5}}, "output.dir must be a string"),
+        ({"scenario_id": [1]}, "scenario_id must be a plain file name"),
+        ({"agents": {"abstain_probability": 2}}, "agents.abstain_probability must be in [0, 1]"),
+        ({"agents": {"abstain_probability": -1}}, "agents.abstain_probability must be in [0, 1]"),
     ], ids=["negative_container_start", "non_numeric_tariff", "jitter_above_one",
             "negative_timeout", "boolean_runs", "sweep_below_two_systems",
             "negative_reaction_delay", "negative_message_delay",
-            "genesis_balance_below_deposit", "deposit_below_penalty"])
+            "genesis_balance_below_deposit", "deposit_below_penalty",
+            "topology_not_object", "agents_not_object", "deployment_not_object",
+            "sla_not_object", "output_not_object", "sweep_variants_number",
+            "sweep_variants_string", "infinite_timeout", "infinite_block_period",
+            "nan_block_period", "infinite_tariff", "nan_tariff", "empty_tariffs",
+            "timeout_beyond_microsecond_range", "non_string_output_dir",
+            "non_string_scenario_id", "abstain_above_one", "abstain_below_zero"])
     def test_rejected_in_parsing_with_one_line_reason(self, tmp_path, capsys, overrides, reason):
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "out"
@@ -201,6 +233,14 @@ class TestBadConfigExits1:
             assert err.startswith("invalid config: ") and reason in err
             assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("scenario_id", ["../escaped", "..", "sub/name", "back\\slash"])
+    def test_scenario_id_cannot_leave_the_output_directory(self, tmp_path, capsys, scenario_id):
+        cfg = write_config(tmp_path, scenario_id=scenario_id)
+        for command in ("run", "sweep"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+            assert "scenario_id must be a plain file name" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
     def test_genesis_balance_equal_to_deposit_is_valid(self, tmp_path, capsys):
         cfg = write_config(tmp_path, agents={"genesis_balance": 10, "announce_deposit": 10})

@@ -1,5 +1,6 @@
 import hashlib
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -223,12 +224,14 @@ class TestRoutedDelivery:
 
 class TestConfigParsing:
     def test_minimal_document_gets_defaults(self):
-        cfg = parse_config({}, scenario_id="x")
-        assert cfg.n_systems == 2
-        assert (cfg.consumers, cfg.providers) == (1, 1)
-        assert cfg.runs == 20
-        assert cfg.block_period_us == to_micro(5.0)
-        assert cfg.variant == "clique"
+        assert parse_config({}, scenario_id="x") == ScenarioConfig(scenario_id="x")
+
+    def test_readme_defaults_block_is_the_dataclass_defaults(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Defaults shown:\n\n```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.json"
+        path.write_text(block, encoding="utf-8")
+        assert load_config(path) == ScenarioConfig(scenario_id="baseline", output_dir="edgefed-out")
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigInvalid, match="unknown key"):
@@ -285,6 +288,13 @@ class TestScenarioConfigInvariants:
     def test_split_consistency_enforced(self):
         with pytest.raises(ConfigInvalid):
             ScenarioConfig(n_systems=5, consumers=1, providers=1)
+
+    @pytest.mark.parametrize("scenario_id", ["", ".", "..", "../x", "a/b", "a\\b", "a\0b", [1], None],
+                             ids=["empty", "dot", "dotdot", "parent", "slash", "backslash", "nul",
+                                  "list", "none"])
+    def test_scenario_id_must_be_a_plain_file_name(self, scenario_id):
+        with pytest.raises(ConfigInvalid, match="scenario_id must be a plain file name"):
+            ScenarioConfig(scenario_id=scenario_id)
 
     def test_positive_roles_enforced(self):
         with pytest.raises(ConfigInvalid):
