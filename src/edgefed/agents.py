@@ -10,6 +10,7 @@ providers serve requests concurrently, so no cross-consumer queueing.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 from .contract import (
     AnnounceService,
@@ -56,14 +57,15 @@ class PricingContext:
     jitter_fraction: float = 0.0
 
     def __post_init__(self):
+        # Named by their keys in a scenario's `agents` object.
         if len(self.time_factor_curve) != 24:
-            raise ValueError("time factor curve needs one multiplier per hour")
+            raise ValueError("agents.time_factor_curve needs one multiplier per hour")
         if any(f <= 0 for f in self.time_factor_curve):
-            raise ValueError("time factors must be positive")
+            raise ValueError("agents.time_factor_curve values must be positive")
         if not 0 <= self.jitter_fraction < 1:
-            raise ValueError("jitter fraction must be in [0, 1)")
+            raise ValueError("agents.jitter_fraction must be in [0, 1)")
         if not 0 <= self.hour_of_day <= 23:
-            raise ValueError("hour_of_day must be in 0..23")
+            raise ValueError("agents.hour_of_day must be in 0..23")
 
 
 @dataclass(frozen=True)
@@ -151,12 +153,9 @@ class ProviderAgent:
         if self.profile.abstain:
             return
         price = compute_bid_price(self.profile, self.pricing_ctx, self.pricing_rng)
-        ann_id = event.ann_id
-
-        def submit_bid():
-            self.runtime.submit(self.profile.address, PlaceBid(ann_id=ann_id, price_micro=price))
-
-        self.runtime.schedule(observed_us + self.reaction_us, submit_bid)
+        bid = PlaceBid(ann_id=event.ann_id, price_micro=price)
+        self.runtime.schedule(observed_us + self.reaction_us,
+                              partial(self.runtime.submit, self.profile.address, bid))
 
     def on_provider_chosen(self, event: ProviderChosen, observed_us: int) -> None:
         ann_id = event.ann_id
@@ -216,11 +215,11 @@ class ConsumerAgent:
         )
 
     def handle(self, event, observed_us: int) -> None:
-        if isinstance(event, ServiceAnnounced):
+        if isinstance(event, BidPlaced):  # most events: one per bid
+            self.on_bid_placed(event, observed_us)
+        elif isinstance(event, ServiceAnnounced):
             self.ann_id = event.ann_id
             self.announce_finalized_us = observed_us
-        elif isinstance(event, BidPlaced):
-            self.on_bid_placed(event, observed_us)
         elif isinstance(event, ProviderChosen):
             self.winner = event.winner
             self.winner_finalized_us = observed_us

@@ -7,7 +7,8 @@ rejected on purpose; replicated state must be fixed-point.
 
 Encoders are built once per type, on first use, and looked up by the exact
 type of each value. A dataclass's encoder is generated code that reads each
-field once, with the type-name header computed when it is built.
+field once and joins the parts in one pass, with the type-name header
+computed when it is built.
 """
 
 import dataclasses
@@ -28,19 +29,30 @@ def _encode_map(obj) -> bytes:
 
 
 def _dataclass_encoder(cls):
-    # Straight-line code per class. Most transaction and payload fields are
-    # plain ints, encoded in place; any other value goes through the table.
-    lines = ["def encode_dataclass(obj):", "    body = header"]
-    for field in dataclasses.fields(cls):
+    # Straight-line code per class that joins the encoding's parts once.
+    # Plain int and bytes fields, most of a transaction, are encoded in
+    # place; any other value goes through the table.
+    lines = ["def encode_dataclass(obj):"]
+    parts = ["header"]
+    for i, field in enumerate(dataclasses.fields(cls)):
         lines += [
             f"    v = obj.{field.name}",
-            "    if type(v) is int:",
-            "        s = b'%d' % v",
-            "        body += _head(b'i', len(s)) + s",
+            "    t = type(v)",
+            "    if t is int:",
+            f"        b{i} = b'%d' % v",
+            f"        h{i} = _head(b'i', len(b{i}))",
+            "    elif t is bytes:",
+            f"        b{i} = v",
+            f"        h{i} = _head(b'y', len(v))",
             "    else:",
-            "        body += _ENCODERS[type(v)](v)",
+            f"        b{i} = _ENCODERS[t](v)",
+            f"        h{i} = b''",
         ]
-    lines.append("    return _head(b'd', len(body)) + body")
+        parts += [f"h{i}", f"b{i}"]
+    lines += [
+        f"    body = b''.join(({', '.join(parts)},))",
+        "    return _head(b'd', len(body)) + body",
+    ]
     namespace = {
         "header": _lp(b"s", cls.__name__.encode("utf-8")),
         "_head": _head,

@@ -12,6 +12,7 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 from . import canonical
 from .units import format_micro, to_micro
@@ -19,10 +20,6 @@ from .units import format_micro, to_micro
 
 class LedgerError(Exception):
     """Base class for ledger rejections."""
-
-
-class NonceGap(LedgerError):
-    """Stale or future nonce; the transaction is rejected."""
 
 
 class SmallValidatorSetWarning(UserWarning):
@@ -53,6 +50,10 @@ class Address:
 
     def __repr__(self) -> str:
         return f"Address({self.value.hex()!r})"
+
+    def __hash__(self) -> int:
+        # The bytes object caches its hash; equal addresses have equal bytes.
+        return hash(self.value)
 
 
 class Algorithm(Enum):
@@ -128,6 +129,11 @@ class StampedEvent:
     event: object
 
 
+# A block's tx order: submit time, then sender. Sender bytes order exactly as
+# Address (order=True over `value`) does, without a dataclass comparison.
+_BLOCK_ORDER = attrgetter("submit_time_us", "sender.value")
+
+
 class Ledger:
     def __init__(self, consensus: ConsensusConfig):
         self.consensus = consensus
@@ -141,42 +147,27 @@ class Ledger:
             finality_time_us=self._finality_delay_us,
         )
         self.chain: list[Block] = [genesis]
-        # In submission order, which is clock order: submit_transaction
-        # enforces it, so the transactions ready for a block are a prefix.
+        # In submission order, which is clock order: submit enforces it, so
+        # the transactions ready for a block are a prefix.
         self.mempool: list[Transaction] = []
-        self._last_nonce: dict[Address, int] = {}
+        self._next_nonce: dict[Address, int] = {}
         self._next_tx_id = 0
 
     # -- transactions ------------------------------------------------------
 
-    def build_transaction(self, sender: Address, payload, now_us: int) -> Transaction:
-        tx = Transaction(
-            id=self._next_tx_id,
-            sender=sender,
-            payload=payload,
-            submit_time_us=now_us,
-            nonce=self._last_nonce.get(sender, -1) + 1,
-        )
-        return tx
-
-    def submit_transaction(self, tx: Transaction, now_us: int) -> int:
-        expected = self._last_nonce.get(tx.sender, -1) + 1
-        if tx.nonce != expected:
-            raise NonceGap(f"nonce {tx.nonce} from {tx.sender}, expected {expected}")
-        if tx.submit_time_us != now_us:
-            raise LedgerError("submit_time must equal the current clock")
-        if tx.submit_time_us < 0:
-            raise LedgerError("submit_time must be non-negative")
-        if self.mempool and tx.submit_time_us < self.mempool[-1].submit_time_us:
-            raise LedgerError("submit_time must not precede the last pending submission")
-        self._last_nonce[tx.sender] = tx.nonce
-        self._next_tx_id = tx.id + 1
-        self.mempool.append(tx)
-        return tx.id
-
     def submit(self, sender: Address, payload, now_us: int) -> Transaction:
-        tx = self.build_transaction(sender, payload, now_us)
-        self.submit_transaction(tx, now_us)
+        """Admit `payload` from `sender` at the clock `now_us`, with the
+        sender's next nonce."""
+        if now_us < 0:
+            raise LedgerError("submit_time must be non-negative")
+        mempool = self.mempool
+        if mempool and now_us < mempool[-1].submit_time_us:
+            raise LedgerError("submit_time must not precede the last pending submission")
+        nonce = self._next_nonce.get(sender, 0)
+        self._next_nonce[sender] = nonce + 1
+        tx = Transaction(self._next_tx_id, sender, payload, now_us, nonce)
+        self._next_tx_id += 1
+        mempool.append(tx)
         return tx
 
     # -- blocks ------------------------------------------------------------
@@ -199,9 +190,7 @@ class Ledger:
         # instant waits for the next block.
         cut = bisect_left(self.mempool, now_us, key=lambda tx: tx.submit_time_us)
         ready, self.mempool = self.mempool[:cut], self.mempool[cut:]
-        # Sender bytes order exactly as Address (order=True over `value`)
-        # does, without a dataclass comparison per pair.
-        ready.sort(key=lambda tx: (tx.submit_time_us, tx.sender.value))
+        ready.sort(key=_BLOCK_ORDER)
         block = Block(
             height=height,
             proposer=validators[height % len(validators)],

@@ -6,6 +6,12 @@ that drives ledger, contract and agents through a full federation workflow.
 Two executions with equal configs produce identical ledgers, digests and
 traces.
 
+The event queue keeps one FIFO bucket per fire instant under a heap of the
+distinct instants. All reactions to one block fire at one instant (14,400
+bids at N=300), so dispatching an event costs a list read, not a heap pop
+with tuple comparisons. A block's events stay one batch; they are stamped
+with its height and finality only when `RunResult.stamped_events` is read.
+
 Finalized contract events reach agents through one per-run routing table,
 not by broadcast: an announcement goes to the consumer that made it and to
 every provider, and every later event of a federation goes only to its
@@ -65,10 +71,20 @@ class ConfigInvalid(Exception):
 
 
 class EventQueue:
-    """Dispatches actions in (fire_time, schedule sequence) order."""
+    """Dispatches actions in (fire_time, schedule sequence) order.
+
+    Sequence numbers only grow, so a FIFO bucket per instant holds its
+    actions in that order; a heap orders only the distinct instants. A
+    bucket is a list read from the front by `_fired`, not a deque: most
+    hold one or a few actions, and such a list is about a tenth the size.
+    """
 
     def __init__(self):
-        self._heap = []
+        self._instants = []  # heap of the instants that have a bucket
+        self._buckets = {}  # instant -> list of (sequence, action)
+        # Entries of the earliest bucket already run. No instant can come
+        # before the clock, so that bucket stays earliest until it drains.
+        self._fired = 0
         self._seq = 0
         self.now_us = 0
 
@@ -76,21 +92,37 @@ class EventQueue:
         if fire_us < self.now_us:
             raise SchedulingInPast(f"t={fire_us}us is before the clock ({self.now_us}us)")
         seq = self._seq
-        self._seq += 1
-        heapq.heappush(self._heap, (fire_us, seq, action))
+        self._seq = seq + 1
+        bucket = self._buckets.get(fire_us)
+        if bucket is None:
+            bucket = self._buckets[fire_us] = []
+            heapq.heappush(self._instants, fire_us)
+        bucket.append((seq, action))
         return seq
 
     def empty(self) -> bool:
-        return not self._heap
+        return not self._instants
 
     def peek_time(self) -> int | None:
-        return self._heap[0][0] if self._heap else None
+        return self._instants[0] if self._instants else None
 
     def step(self):
         """Advance the clock to the next event and run it; None at queue end."""
-        if not self._heap:
+        if not self._instants:
             return None
-        fire_us, seq, action = heapq.heappop(self._heap)
+        fire_us = self._instants[0]
+        bucket = self._buckets[fire_us]
+        fired = self._fired
+        seq, action = bucket[fired]
+        if fired + 1 < len(bucket):
+            bucket[fired] = None  # the action is not kept alive once run
+            self._fired = fired + 1
+        else:
+            # Dropped before the action runs: whatever it schedules at this
+            # instant opens a new bucket, after everything that fired here.
+            heapq.heappop(self._instants)
+            del self._buckets[fire_us]
+            self._fired = 0
         self.now_us = fire_us
         action()
         return fire_us, seq
@@ -162,6 +194,9 @@ class AgentParams:
             raise ConfigInvalid("agent delays must be non-negative")
         if not self.tariffs_micro:
             raise ConfigInvalid("agents.tariffs must not be empty")
+        if min(self.tariffs_micro) <= 0:
+            # Every bid would be priced at the 1 micro-unit floor.
+            raise ConfigInvalid("agents.tariffs must be positive")
         if not 0 <= self.abstain_probability <= 1:
             # A probability: above 1 would read as 1 and below 0 as 0, silently.
             raise ConfigInvalid("agents.abstain_probability must be in [0, 1]")
@@ -449,7 +484,13 @@ class RunResult:
     genesis: ContractGenesis | None = None
     contract: FederationContract | None = None
     ledger: Ledger | None = None
-    stamped_events: list = field(default_factory=list)
+    published: list = field(default_factory=list)  # (block, its events) per block
+
+    @property
+    def stamped_events(self) -> list:
+        """Every contract event, in block order, stamped by the ledger."""
+        return [stamped for block, events in self.published
+                for stamped in self.ledger.publish_events(block, events)]
 
 
 class _Runtime:
@@ -458,12 +499,10 @@ class _Runtime:
     def __init__(self, kernel: EventQueue, ledger: Ledger):
         self._kernel = kernel
         self._ledger = ledger
+        self.schedule = kernel.schedule  # schedule(fire_us, action)
 
     def now_us(self) -> int:
         return self._kernel.now_us
-
-    def schedule(self, fire_us: int, action) -> None:
-        self._kernel.schedule(fire_us, action)
 
     def submit(self, sender: Address, call) -> None:
         self._ledger.submit(sender, call, self._kernel.now_us)
@@ -480,7 +519,7 @@ class _ChainRun:
         self.contract = FederationContract(self.genesis)
         self.kernel = EventQueue()
         self.runtime = _Runtime(self.kernel, self.ledger)
-        self.stamped_events = []
+        self.published = []
         # FederationClosed events executed so far; contract phases change only
         # in execute_block, so this equals the count of CLOSED federations.
         self._closed = 0
@@ -531,10 +570,9 @@ class _ChainRun:
             self.kernel.schedule(0, self.consumers[0].announce)
         self.kernel.schedule(self.ledger.next_block_time_us(), self._on_block_time)
 
-        while not self.kernel.empty():
-            if self.kernel.peek_time() > cfg.timeout_us:
-                break
-            self.kernel.step()
+        peek_time, step = self.kernel.peek_time, self.kernel.step
+        while (fire_us := peek_time()) is not None and fire_us <= cfg.timeout_us:
+            step()
 
         return RunResult(
             run_index=self.run_index,
@@ -543,55 +581,56 @@ class _ChainRun:
             genesis=self.genesis,
             contract=self.contract,
             ledger=self.ledger,
-            stamped_events=self.stamped_events,
+            published=self.published,
         )
 
     def _on_block_time(self):
         now = self.kernel.now_us
         block = self.ledger.produce_block(now)
         events = self.contract.execute_block(block)
-        self._closed += sum(isinstance(ev, FederationClosed) for ev in events)
-        stamped = self.ledger.publish_events(block, events)
-        self.stamped_events.extend(stamped)
-        if stamped:
-            self.kernel.schedule(
-                block.finality_time_us, lambda batch=stamped: self._deliver(batch)
-            )
+        self._closed += sum(type(ev) is FederationClosed for ev in events)
+        self.published.append((block, events))
+        if events:
+            self.kernel.schedule(block.finality_time_us,
+                                 partial(self._deliver, block.finality_time_us, events))
         next_time = self.ledger.next_block_time_us()
         if self._closed < len(self.consumers) and next_time <= self.cfg.timeout_us:
             self.kernel.schedule(next_time, self._on_block_time)
 
-    def _deliver(self, batch):
-        # Observation happens at finality; within a block, tx order is kept.
-        for se in batch:
-            for agent in self._recipients(se.event):
-                agent.handle(se.event, se.finality_time_us)
-            if self.cfg.concurrency_mode == MODE_SINGLE:
-                self._maybe_start_next_consumer(se)
+    def _deliver(self, finality_us: int, events):
+        """Hand a block's events, in tx order, to the agents they concern;
+        observation happens at the block's finality."""
+        consumer_by_ann = self._consumer_by_ann
+        single = self.cfg.concurrency_mode == MODE_SINGLE
+        for event in events:
+            if type(event) is BidPlaced:  # most events: one per bid
+                consumer_by_ann[event.ann_id].handle(event, finality_us)
+                continue
+            for agent in self._recipients(event):
+                agent.handle(event, finality_us)
+            if single and type(event) is FederationClosed:
+                self._start_next_consumer(finality_us)
 
     def _recipients(self, event) -> list:
-        """The agents that act on `event`: its consumer, then the providers
-        concerned. Announcements carry no sender, so their consumer is found
-        by app id, and the announcement id is bound to it here."""
+        """The agents that act on `event`, other than a bid, which `_deliver`
+        hands to its consumer itself: the event's consumer, then the
+        providers concerned. Announcements carry no sender, so their consumer
+        is found by app id, and the announcement id is bound to it here."""
         if isinstance(event, ServiceAnnounced):
             consumer = self._consumer_by_app[event.requirements.app_id]
             self._consumer_by_ann[event.ann_id] = consumer
             return [consumer, *self.providers]
-        if isinstance(event, (BidPlaced, DeploymentConfirmed)):
+        if isinstance(event, DeploymentConfirmed):
             return [self._consumer_by_ann[event.ann_id]]
         if isinstance(event, ProviderChosen):
             return [self._consumer_by_ann[event.ann_id], self._provider_by_address[event.winner]]
         return []
 
-    def _maybe_start_next_consumer(self, se):
-        if not isinstance(se.event, FederationClosed):
-            return
+    def _start_next_consumer(self, finality_us: int):
         if self._closed < len(self.consumers):
             nxt = self.consumers[self._closed]
             if nxt.announce_submitted_us is None:
-                self.kernel.schedule(
-                    se.finality_time_us + self.cfg.agents.reaction_delay_us, nxt.announce
-                )
+                self.kernel.schedule(finality_us + self.cfg.agents.reaction_delay_us, nxt.announce)
 
     def _traces(self) -> list:
         jobs = {}

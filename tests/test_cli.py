@@ -183,7 +183,7 @@ class TestBadConfigExits1:
     @pytest.mark.parametrize("overrides, reason", [
         ({"agents": {"deployment": {"container_start_s": -1}}}, "deployment durations must be non-negative"),
         ({"agents": {"tariffs": ["x"]}}, "agents.tariffs"),
-        ({"agents": {"jitter_fraction": 1.5}}, "jitter fraction"),
+        ({"agents": {"jitter_fraction": 1.5}}, "agents.jitter_fraction must be in [0, 1)"),
         ({"scenario_timeout_s": -5}, "scenario timeout must be positive"),
         ({"runs": True}, "runs must be an integer"),
         ({"sweep": {"n_systems": [1, 10]}}, "sweep.n_systems"),
@@ -211,6 +211,13 @@ class TestBadConfigExits1:
         ({"scenario_id": [1]}, "scenario_id must be a plain file name"),
         ({"agents": {"abstain_probability": 2}}, "agents.abstain_probability must be in [0, 1]"),
         ({"agents": {"abstain_probability": -1}}, "agents.abstain_probability must be in [0, 1]"),
+        ({"agents": {"tariffs": [-1]}}, "agents.tariffs must be positive"),
+        ({"agents": {"tariffs": [0.1, 0]}}, "agents.tariffs must be positive"),
+        ({"agents": {"hour_of_day": 24}}, "agents.hour_of_day must be in 0..23"),
+        ({"agents": {"time_factor_curve": [1.0, 1.0]}},
+         "agents.time_factor_curve needs one multiplier per hour"),
+        ({"agents": {"time_factor_curve": [1.0] * 23 + [0]}},
+         "agents.time_factor_curve values must be positive"),
     ], ids=["negative_container_start", "non_numeric_tariff", "jitter_above_one",
             "negative_timeout", "boolean_runs", "sweep_below_two_systems",
             "negative_reaction_delay", "negative_message_delay",
@@ -220,7 +227,9 @@ class TestBadConfigExits1:
             "sweep_variants_string", "infinite_timeout", "infinite_block_period",
             "nan_block_period", "infinite_tariff", "nan_tariff", "empty_tariffs",
             "timeout_beyond_microsecond_range", "non_string_output_dir",
-            "non_string_scenario_id", "abstain_above_one", "abstain_below_zero"])
+            "non_string_scenario_id", "abstain_above_one", "abstain_below_zero",
+            "negative_tariff", "zero_tariff", "hour_of_day_24", "two_entry_curve",
+            "zero_time_factor"])
     def test_rejected_in_parsing_with_one_line_reason(self, tmp_path, capsys, overrides, reason):
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "out"

@@ -11,10 +11,8 @@ from edgefed.ledger import (
     ConsensusConfig,
     Ledger,
     LedgerError,
-    NonceGap,
     SmallValidatorSetWarning,
     StampedEvent,
-    Transaction,
     block_digest,
     finality_delay_us,
     write_chain_dump,
@@ -88,17 +86,6 @@ class TestSubmission:
         ledger.submit(low, Ping(), to_micro(1.0))
         block = ledger.produce_block(to_micro(5.0))
         assert [tx.sender for tx in block.txs] == [low, high]
-
-    def test_nonce_gap_rejected(self):
-        ledger = make_ledger()
-        sender = addr("s")
-        ledger.submit(sender, Ping(), 0)
-        stale = Transaction(id=99, sender=sender, payload=Ping(), submit_time_us=0, nonce=0)
-        with pytest.raises(NonceGap):
-            ledger.submit_transaction(stale, 0)
-        future = Transaction(id=99, sender=sender, payload=Ping(), submit_time_us=0, nonce=5)
-        with pytest.raises(NonceGap):
-            ledger.submit_transaction(future, 0)
 
     def test_nonce_strictly_increases_per_sender(self):
         ledger = make_ledger()

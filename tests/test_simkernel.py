@@ -1,13 +1,17 @@
 import hashlib
+import heapq
+import itertools
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgefed.agents import ConsumerAgent, ProviderAgent
 from edgefed.canonical import digest
 from edgefed.contract import BidPlaced, FederationClosed, ServiceAnnounced
-from edgefed.ledger import Algorithm, StampedEvent
+from edgefed.ledger import Algorithm
 from edgefed.metrics import write_csv
 from edgefed.simkernel import (
     MODE_SINGLE,
@@ -62,6 +66,76 @@ class TestEventQueue:
         while queue.step():
             pass
         assert seen == sorted(seen)
+
+
+class HeapModel:
+    """The event queue as one plain heap of (fire time, sequence, action)."""
+
+    def __init__(self):
+        self._heap = []
+        self._seq = itertools.count()
+        self.now_us = 0
+
+    def schedule(self, fire_us, action):
+        if fire_us < self.now_us:
+            raise SchedulingInPast(fire_us)
+        seq = next(self._seq)
+        heapq.heappush(self._heap, (fire_us, seq, action))
+        return seq
+
+    def empty(self):
+        return not self._heap
+
+    def peek_time(self):
+        return self._heap[0][0] if self._heap else None
+
+    def step(self):
+        if not self._heap:
+            return None
+        fire_us, seq, action = heapq.heappop(self._heap)
+        self.now_us = fire_us
+        action()
+        return fire_us, seq
+
+
+def drive(queue, initial, plan) -> list:
+    """Everything `queue` reports while it runs a drawn schedule.
+
+    `initial` holds the fire times scheduled up front. The k-th action to
+    fire schedules one action per offset in `plan[k]`, at the clock plus
+    that offset: 0 is the current instant, also after its own bucket has
+    drained, and -1 is in the past.
+    """
+    log, fired = [], itertools.count()
+
+    def action(name):
+        def run():
+            k = next(fired)
+            log.append(("fire", name, queue.now_us))
+            for j, offset in enumerate(plan[k] if k < len(plan) else ()):
+                try:
+                    log.append(("seq", queue.schedule(queue.now_us + offset, action(f"{name}.{j}"))))
+                except SchedulingInPast:
+                    log.append(("past", queue.now_us + offset))
+        return run
+
+    for i, fire_us in enumerate(initial):
+        log.append(("seq", queue.schedule(fire_us, action(str(i)))))
+    while True:
+        log.append(("state", queue.empty(), queue.peek_time()))
+        result = queue.step()
+        log.append(("step", result))
+        if result is None:
+            return log
+
+
+@given(
+    initial=st.lists(st.integers(0, 4), max_size=8),
+    plan=st.lists(st.lists(st.integers(-1, 2), max_size=4), max_size=40),
+)
+@settings(max_examples=300, deadline=None)
+def test_event_queue_matches_a_heap_model(initial, plan):
+    assert drive(EventQueue(), initial, plan) == drive(HeapModel(), initial, plan)
 
 
 class TestSeededRng:
@@ -186,15 +260,12 @@ class TestRoutedDelivery:
         run = _ChainRun(scenario(n=10), 0)
         owner = run.consumers[3]
         announced = ServiceAnnounced(ann_id=5, requirements=owner.profile.requirements)
-        run._deliver([StampedEvent(1, 0, announced)])
+        run._deliver(0, [announced])
         assert [agent for agent, _ in calls] == [owner, *run.providers]
         assert owner.ann_id == 5
 
         calls.clear()
-        run._deliver([
-            StampedEvent(2, 0, BidPlaced(ann_id=5, bid_count=1)),
-            StampedEvent(2, 0, FederationClosed(ann_id=5)),
-        ])
+        run._deliver(0, [BidPlaced(ann_id=5, bid_count=1), FederationClosed(ann_id=5)])
         assert [(agent, type(event)) for agent, event in calls] == [(owner, BidPlaced)]
 
     # Per-run handle calls: per federation, the announcement reaches its
