@@ -207,10 +207,7 @@ def main(argv=None) -> int:
     except ConfigInvalid as err:
         print(f"invalid config: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except metrics.MismatchedScenarios as err:
-        print(f"comparison failed: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except metrics.NoCompleteTraces as err:
+    except (metrics.MalformedCsv, metrics.MismatchedScenarios, metrics.NoCompleteTraces) as err:
         print(f"comparison failed: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as err:

@@ -1,10 +1,13 @@
 """Federation smart contract.
 
-A deterministic state machine every node executes identically: operator
-registration, service announcements with escrowed deposits, reverse-auction
-bidding, lowest-price winner selection, deployment confirmation, close, and
-oracle-fed SLA settlement. State holds no floats; currency is integer
-millionths so digests agree across platforms.
+A deterministic state machine every node executes identically over the
+federation lifecycle from negotiation to deployment: service announcements
+with escrowed deposits, reverse-auction bidding, lowest-price winner
+selection, deployment confirmation and close. Operators are registered at
+genesis. SLA terms and the deposit are recorded and escrowed but not
+enforced: no call settles a federation, so its deposit stays in escrow after
+close. State holds no floats; currency is integer millionths so digests
+agree across platforms.
 """
 
 import dataclasses
@@ -19,10 +22,6 @@ from .units import format_micro, to_micro
 
 class ContractError(Exception):
     """Base class for rejected contract calls."""
-
-
-class AlreadyRegistered(ContractError):
-    pass
 
 
 class NotRegistered(ContractError):
@@ -57,16 +56,11 @@ class NotWinner(ContractError):
     pass
 
 
-class NotOracle(ContractError):
-    pass
-
-
 class Phase(IntEnum):
     OPEN = 0
     PROVIDER_CHOSEN = 1
     DEPLOYMENT_CONFIRMED = 2
     CLOSED = 3
-    SETTLED = 4
 
 
 @dataclass(frozen=True)
@@ -104,12 +98,6 @@ class SlaTerms:
 
 
 @dataclass(frozen=True)
-class RegisterOperator:
-    KIND = "RegisterOperator"
-    name: str
-
-
-@dataclass(frozen=True)
 class AnnounceService:
     KIND = "AnnounceService"
     requirements: ServiceRequirements
@@ -144,22 +132,7 @@ class CloseFederation:
     ann_id: int
 
 
-@dataclass(frozen=True)
-class ReportQos:
-    KIND = "ReportQos"
-    ann_id: int
-    measured_availability_micro: int
-    measured_latency_us: int
-
-
 # -- events ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OperatorRegistered:
-    KIND = "OperatorRegistered"
-    operator: Address
-    name: str
 
 
 @dataclass(frozen=True)
@@ -199,15 +172,6 @@ class DeploymentConfirmed:
 class FederationClosed:
     KIND = "FederationClosed"
     ann_id: int
-
-
-@dataclass(frozen=True)
-class Settled:
-    KIND = "Settled"
-    ann_id: int
-    compliant: bool
-    provider_payout_micro: int
-    consumer_refund_micro: int
 
 
 # -- state -------------------------------------------------------------------
@@ -257,14 +221,13 @@ class FederationRecord:
 class ContractGenesis:
     """Shared starting point every replica is constructed from.
 
-    Operators and balances installed here model pre-workflow registration and
-    genesis funding; min_offers is the selection threshold enforced by
-    choose_provider.
+    Operators and balances installed here are the only registration and
+    funding: no call adds an operator or pays funds in. min_offers is the
+    selection threshold ChooseProvider enforces.
     """
 
     operators: tuple = ()  # (Address, name) pairs
     balances: tuple = ()  # (Address, micro) pairs
-    oracles: tuple = ()
     min_offers: int = 2
 
 
@@ -275,7 +238,6 @@ class FederationContract:
         self.balances: dict[Address, int] = {a: v for a, v in genesis.balances}
         self.federations: dict[int, FederationRecord] = {}
         self.next_ann_id = 0
-        self.oracles = frozenset(genesis.oracles)
         self.min_offers = genesis.min_offers
         self.rejected: list[tuple[int, str]] = []  # (tx id, error class name)
 
@@ -299,12 +261,6 @@ class FederationContract:
         return handler(self, sender, call, height)
 
     # -- handlers ------------------------------------------------------------
-
-    def _register(self, sender, call: RegisterOperator, height):
-        if sender in self.operators:
-            raise AlreadyRegistered(f"{sender} is already registered")
-        self.operators[sender] = call.name
-        return OperatorRegistered(operator=sender, name=call.name)
 
     def _announce(self, sender, call: AnnounceService, height):
         if sender not in self.operators:
@@ -391,40 +347,12 @@ class FederationContract:
         record.phase = Phase.CLOSED
         return FederationClosed(ann_id=call.ann_id)
 
-    def _settle(self, sender, call: ReportQos, height):
-        record = self._record(call.ann_id)
-        if sender not in self.oracles:
-            raise NotOracle(f"{sender} is not an authorized oracle")
-        if record.phase is not Phase.CLOSED:
-            raise WrongPhase(f"announcement {call.ann_id} is not closed")
-        sla = record.sla
-        compliant = (
-            call.measured_availability_micro >= sla.min_availability_micro
-            and call.measured_latency_us <= sla.max_latency_us
-        )
-        escrow = record.escrow_micro
-        refund = 0 if compliant else sla.penalty_micro
-        payout = escrow - refund
-        consumer = record.announcement.consumer
-        self.balances[consumer] = self.balances.get(consumer, 0) + refund
-        self.balances[record.winner] = self.balances.get(record.winner, 0) + payout
-        record.escrow_micro = 0
-        record.phase = Phase.SETTLED
-        return Settled(
-            ann_id=call.ann_id,
-            compliant=compliant,
-            provider_payout_micro=payout,
-            consumer_refund_micro=refund,
-        )
-
     _HANDLERS = {
-        RegisterOperator: _register,
         AnnounceService: _announce,
         PlaceBid: _bid,
         ChooseProvider: _choose,
         ConfirmDeployment: _confirm,
         CloseFederation: _close,
-        ReportQos: _settle,
     }
 
     # -- queries ---------------------------------------------------------------
@@ -480,7 +408,7 @@ def event_log_lines(stamped_events) -> list[dict]:
                 "block_height": se.block_height,
                 "finality_time_s": format_micro(se.finality_time_us),
                 "event_kind": se.event.KIND,
-                "ann_id": getattr(se.event, "ann_id", None),
+                "ann_id": se.event.ann_id,
                 "payload": payload,
             }
         )

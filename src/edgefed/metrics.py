@@ -25,6 +25,10 @@ class MismatchedScenarios(Exception):
     pass
 
 
+class MalformedCsv(Exception):
+    pass
+
+
 SEGMENTS = (
     "bidding",
     "winner_selection",
@@ -85,11 +89,6 @@ class PhaseBreakdown:
     confirmation_us: int
     total_us: int
 
-    @property
-    def hatched_us(self) -> int:
-        """Coordination overhead: everything except the deployment segment."""
-        return self.total_us - self.deployment_us
-
     def as_micro_dict(self) -> dict:
         return {
             "bidding": self.bidding_us,
@@ -142,21 +141,16 @@ def _stats(values_us) -> SegmentStats:
     )
 
 
-def _aggregate_segment_rows(rows, n_incomplete) -> AggregateStats:
+def aggregate(traces) -> AggregateStats:
+    rows = [decompose(t).as_micro_dict() for t in traces if t.complete]
     if not rows:
         raise NoCompleteTraces("no complete traces to aggregate")
     segments = {
         name: _stats([row[name] for row in rows]) for name in SEGMENTS
     }
     return AggregateStats(
-        segments=segments, n_samples=len(rows), n_incomplete=n_incomplete
+        segments=segments, n_samples=len(rows), n_incomplete=len(traces) - len(rows)
     )
-
-
-def aggregate(traces) -> AggregateStats:
-    complete = [t for t in traces if t.complete]
-    rows = [decompose(t).as_micro_dict() for t in complete]
-    return _aggregate_segment_rows(rows, n_incomplete=len(traces) - len(complete))
 
 
 # -- export / import -----------------------------------------------------------
@@ -211,32 +205,55 @@ def write_jsonl(traces, path, scenario_id, consensus, n_systems) -> None:
 
 
 def read_csv(path) -> list[dict]:
-    """Parse an exported CSV back into micro-precision segment rows."""
+    """Parse an exported CSV back into micro-precision segment rows.
+
+    A file that does not read as one raises MalformedCsv naming the file, the
+    row (its line number) and the column."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        for raw in reader:
-            row = {
-                "scenario_id": raw["scenario_id"],
-                "consensus": raw["consensus"],
-                "n_systems": int(raw["n_systems"]),
-                "run": int(raw["run"]),
-                "ann_id": int(raw["ann_id"]) if raw["ann_id"] else None,
-                "complete": raw["complete"] == "true",
-            }
-            for name in SEGMENTS:
-                text = raw[f"{name}_s"]
-                row[name] = parse_micro(text) if text else None
-            rows.append(row)
+        try:
+            for column in CSV_COLUMNS:
+                if column not in (reader.fieldnames or ()):
+                    raise MalformedCsv(f"{path} row 1, column {column}: missing from the header")
+            for raw in reader:
+                rows.append(_read_row(raw, f"{path} row {reader.line_num}"))
+        except csv.Error as err:  # DictReader.line_num moves only once a row parses
+            raise MalformedCsv(f"{path} row {reader.reader.line_num}: {err}") from err
+        except UnicodeDecodeError as err:  # decoding reads ahead, so no row is known
+            raise MalformedCsv(f"{path}: {err}") from err
     return rows
 
 
-def aggregate_rows(rows) -> AggregateStats:
-    complete = [r for r in rows if r["complete"]]
-    return _aggregate_segment_rows(
-        [{name: r[name] for name in SEGMENTS} for r in complete],
-        n_incomplete=len(rows) - len(complete),
-    )
+def _flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
+
+
+def _read_row(raw: dict, where: str) -> dict:
+    def cell(column, parse, required):
+        text = raw[column] or ""  # None when the row has fewer cells than the header
+        if not text:
+            if required:
+                raise MalformedCsv(f"{where}, column {column}: empty")
+            return None
+        try:
+            return parse(text)
+        except ValueError:
+            raise MalformedCsv(f"{where}, column {column}: cannot read {text!r}") from None
+
+    row = {
+        "scenario_id": cell("scenario_id", str, True),
+        "consensus": cell("consensus", str, True),
+        "n_systems": cell("n_systems", int, True),
+        "run": cell("run", int, True),
+        "ann_id": cell("ann_id", int, False),
+        "complete": cell("complete", _flag, True),
+    }
+    for name in SEGMENTS:  # a complete row carries every segment
+        row[name] = cell(f"{name}_s", parse_micro, row["complete"])
+    return row
 
 
 def compare_rows(blockchain_rows, soa_rows) -> list[dict]:
@@ -247,6 +264,8 @@ def compare_rows(blockchain_rows, soa_rows) -> list[dict]:
         raise MismatchedScenarios(
             f"system counts differ: {sorted(by_n_chain)} vs {sorted(by_n_soa)}"
         )
+    if not by_n_chain:
+        raise NoCompleteTraces("neither input holds a trace row")
     report = []
     for n in sorted(by_n_chain):
         chain_mean = _mean_total_s(by_n_chain[n])

@@ -394,7 +394,7 @@ def load_config(path) -> ScenarioConfig:
             data = json.load(fh)
     except FileNotFoundError as err:
         raise ConfigInvalid(f"config file not found: {path}") from err
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
         raise ConfigInvalid(f"config is not valid JSON: {err}") from err
     return parse_config(data, scenario_id=str(path).rsplit("/", 1)[-1].removesuffix(".json"))
 
@@ -458,7 +458,6 @@ def build_genesis(cfg: ScenarioConfig, participants: Participants) -> ContractGe
     return ContractGenesis(
         operators=tuple(operators),
         balances=balances,
-        oracles=(participants.bootstrap,),
         min_offers=min(2, cfg.providers),
     )
 

@@ -5,7 +5,11 @@ Simulated time and currency are both stored as integers in millionths
 and makes digests and exported files stable across platforms.
 """
 
+import re
+
 MICRO = 1_000_000
+
+_DECIMAL = re.compile(r"([+-]?)([0-9]+)(?:\.([0-9]{1,6}))?")
 
 
 def to_micro(value: float) -> int:
@@ -21,10 +25,13 @@ def format_micro(value: int) -> str:
 
 
 def parse_micro(text: str) -> int:
-    """Inverse of format_micro; lossless for any micro-precision value."""
-    text = text.strip()
-    sign = -1 if text.startswith("-") else 1
-    text = text.lstrip("+-")
-    whole, _, frac = text.partition(".")
-    frac = (frac + "000000")[:6]
-    return sign * (int(whole or "0") * MICRO + int(frac or "0"))
+    """Inverse of format_micro; lossless for any micro-precision value.
+
+    Raises ValueError unless the text is a decimal with at most six
+    fractional digits, so no digit is dropped."""
+    match = _DECIMAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not a decimal with at most six fractional digits: {text!r}")
+    sign, whole, frac = match.groups()
+    value = int(whole) * MICRO + int((frac or "").ljust(6, "0"))
+    return -value if sign == "-" else value

@@ -222,7 +222,6 @@ def _contract_path_sample(grid) -> int:
             ContractGenesis(
                 operators=tuple((a, a.hex[:8]) for a in [consumer] + list(chosen)),
                 balances=((consumer, to_micro(100.0)),),
-                oracles=(),
                 min_offers=2,
             )
         )

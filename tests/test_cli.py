@@ -4,6 +4,7 @@ import math
 import pytest
 
 from edgefed.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from edgefed.metrics import CSV_COLUMNS
 
 
 def write_config(tmp_path, name="scenario.json", **overrides):
@@ -166,6 +167,40 @@ class TestCompare:
     def test_missing_input_is_io_failure(self, tmp_path, capsys):
         assert main(["compare", "a.csv", "b.csv", "--out", str(tmp_path)]) == EXIT_IO
 
+    HEADER = ",".join(CSV_COLUMNS)
+    ROW = "cli,clique,2,0,0,5.000000,5.000000,0.100000,4.900000,2.600000,17.600000,true"
+
+    def compare_fails(self, tmp_path, capsys, chain_text, soa_text) -> str:
+        chain_csv, soa_csv = tmp_path / "chain.csv", tmp_path / "soa.csv"
+        chain_csv.write_text(chain_text)
+        soa_csv.write_text(soa_text)
+        out = tmp_path / "out"
+        assert main(["compare", str(chain_csv), str(soa_csv), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("comparison failed: ") and err.count("\n") == 1
+        assert not out.exists()
+        return err
+
+    @pytest.mark.parametrize("header, row, reason", [
+        (HEADER.partition(",")[2], ROW.partition(",")[2],
+         "row 1, column scenario_id: missing from the header"),
+        (HEADER, ROW.replace("clique,2,", "clique,two,"),
+         "row 2, column n_systems: cannot read 'two'"),
+        (HEADER, "cli,clique,2,0,0,,,,,,,true", "row 2, column bidding_s: empty"),
+        (HEADER, ROW.replace("17.600000", "17.6000001"),
+         "row 2, column total_s: cannot read '17.6000001'"),
+    ], ids=["missing_column", "non_numeric_n_systems", "complete_without_segments",
+            "seventh_fraction_digit"])
+    def test_malformed_csv_exits_1_naming_file_row_and_column(
+            self, tmp_path, capsys, header, row, reason):
+        err = self.compare_fails(
+            tmp_path, capsys, f"{header}\n{row}\n", f"{self.HEADER}\n{self.ROW}\n")
+        assert f"{tmp_path / 'chain.csv'} {reason}" in err
+
+    def test_two_header_only_files_exit_1(self, tmp_path, capsys):
+        err = self.compare_fails(tmp_path, capsys, self.HEADER + "\n", self.HEADER + "\n")
+        assert "neither input holds a trace row" in err
+
 
 class TestValidateConfig:
     def test_valid_config_reports_ok(self, tmp_path, capsys):
@@ -240,6 +275,24 @@ class TestBadConfigExits1:
             assert main(argv) == EXIT_CONFIG
             err = capsys.readouterr().err
             assert err.startswith("invalid config: ") and reason in err
+            assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}",
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["not_utf8", "nested_100000_deep"])
+    def test_unreadable_json_exits_1_with_one_line_reason(self, tmp_path, capsys, content):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_bytes(content)
+        out = tmp_path / "out"
+        for command in ("validate-config", "run", "sweep"):
+            argv = [command, "--config", str(cfg)]
+            if command != "validate-config":
+                argv += ["--out", str(out)]
+            assert main(argv) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("invalid config: config is not valid JSON: ")
             assert err.count("\n") == 1
         assert not out.exists()
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from edgefed.contract import (
-    AlreadyRegistered,
     AnnounceService,
     Bid,
     ChooseProvider,
@@ -19,21 +18,17 @@ from edgefed.contract import (
     InsufficientBalance,
     NotConsumer,
     NotEnoughBids,
-    NotOracle,
     NotRegistered,
     NotWinner,
     OverlayEndpoint,
     Phase,
     PlaceBid,
-    RegisterOperator,
-    ReportQos,
     SelfBid,
     ServiceAnnounced,
     ServiceRequirements,
     SlaTerms,
     WrongPhase,
     bid_priority,
-    event_log_lines,
     select_winner,
     write_event_log,
 )
@@ -45,7 +40,7 @@ from conftest import addr
 CONSUMER = addr("consumer")
 P1 = addr("provider-1")
 P2 = addr("provider-2")
-ORACLE = addr("oracle")
+P3 = addr("provider-3")
 
 REQS = ServiceRequirements(app_id="app", replicas=1, bandwidth_mbps=100)
 ENDPOINT = OverlayEndpoint(ip="10.0.0.1", udp_port=4789, vni=42)
@@ -53,13 +48,12 @@ SLA = SlaTerms.from_floats(0.99, 50.0, 2.0)
 
 
 def fresh_contract(min_offers=2, extra_operators=()):
-    operators = [(CONSUMER, "mec-c0"), (P1, "mec-p1"), (P2, "mec-p2"), (ORACLE, "oracle")]
+    operators = [(CONSUMER, "mec-c0"), (P1, "mec-p1"), (P2, "mec-p2"), (P3, "mec-p3")]
     operators += [(a, n) for a, n in extra_operators]
     return FederationContract(
         ContractGenesis(
             operators=tuple(operators),
             balances=((CONSUMER, to_micro(100.0)),),
-            oracles=(ORACLE,),
             min_offers=min_offers,
         )
     )
@@ -84,28 +78,6 @@ def open_federation(contract, prices=(0.20, 0.15), height=2):
     for provider, price in zip((P1, P2), prices):
         contract.apply(provider, PlaceBid(ann_id=ann, price_micro=to_micro(price)), height)
     return ann
-
-
-class TestRegistration:
-    def test_fresh_address_registers(self):
-        contract = fresh_contract()
-        newcomer = addr("mec-es-1")
-        event = contract.apply(newcomer, RegisterOperator(name="mec-es-1"), 1)
-        assert contract.operators[newcomer] == "mec-es-1"
-        assert event.operator == newcomer
-
-    def test_double_registration_rejected(self):
-        contract = fresh_contract()
-        newcomer = addr("dup")
-        contract.apply(newcomer, RegisterOperator(name="x"), 1)
-        with pytest.raises(AlreadyRegistered):
-            contract.apply(newcomer, RegisterOperator(name="x"), 1)
-
-    def test_thirty_distinct_operators(self):
-        contract = FederationContract(ContractGenesis())
-        for i in range(30):
-            contract.apply(addr(f"op{i}"), RegisterOperator(name=f"mec-{i}"), 1)
-        assert len(contract.operators) == 30
 
 
 class TestAnnounce:
@@ -289,70 +261,6 @@ class TestDeploymentAndClose:
             contract.apply(CONSUMER, CloseFederation(ann_id=ann), 6)
 
 
-class TestSettlement:
-    def closed(self):
-        contract = fresh_contract()
-        ann = open_federation(contract)
-        contract.apply(CONSUMER, ChooseProvider(ann_id=ann), 3)
-        contract.apply(P2, ConfirmDeployment(ann_id=ann, provider_endpoint=ENDPOINT), 4)
-        contract.apply(CONSUMER, CloseFederation(ann_id=ann), 5)
-        return contract, ann
-
-    def test_compliant_report_pays_full_deposit_to_winner(self):
-        contract, ann = self.closed()
-        event = contract.apply(
-            ORACLE,
-            ReportQos(ann_id=ann, measured_availability_micro=to_micro(0.999),
-                      measured_latency_us=20_000),
-            6,
-        )
-        assert event.compliant
-        assert contract.balances[P2] == to_micro(10.0)
-        assert contract.balances[CONSUMER] == to_micro(90.0)
-        assert contract.federations[ann].phase is Phase.SETTLED
-
-    def test_violation_refunds_penalty_to_consumer(self):
-        contract, ann = self.closed()
-        event = contract.apply(
-            ORACLE,
-            ReportQos(ann_id=ann, measured_availability_micro=to_micro(0.95),
-                      measured_latency_us=20_000),
-            6,
-        )
-        assert not event.compliant
-        assert contract.balances[CONSUMER] == to_micro(92.0)
-        assert contract.balances[P2] == to_micro(8.0)
-
-    def test_latency_violation_also_triggers_penalty(self):
-        contract, ann = self.closed()
-        event = contract.apply(
-            ORACLE,
-            ReportQos(ann_id=ann, measured_availability_micro=to_micro(0.999),
-                      measured_latency_us=80_000),
-            6,
-        )
-        assert not event.compliant
-
-    def test_report_on_open_federation_is_wrong_phase(self):
-        contract = fresh_contract()
-        ann = announce(contract)
-        with pytest.raises(WrongPhase):
-            contract.apply(
-                ORACLE,
-                ReportQos(ann_id=ann, measured_availability_micro=1, measured_latency_us=1),
-                2,
-            )
-
-    def test_only_configured_oracle_reports(self):
-        contract, ann = self.closed()
-        with pytest.raises(NotOracle):
-            contract.apply(
-                P1,
-                ReportQos(ann_id=ann, measured_availability_micro=1, measured_latency_us=1),
-                6,
-            )
-
-
 class TestDigest:
     def test_fresh_nodes_agree(self):
         assert fresh_contract().state_digest() == fresh_contract().state_digest()
@@ -380,13 +288,6 @@ class TestConservation:
         contract.apply(CONSUMER, ChooseProvider(ann_id=ann), 3)
         contract.apply(P2, ConfirmDeployment(ann_id=ann, provider_endpoint=ENDPOINT), 4)
         contract.apply(CONSUMER, CloseFederation(ann_id=ann), 5)
-        assert contract.total_funds_micro() == start
-        contract.apply(
-            ORACLE,
-            ReportQos(ann_id=ann, measured_availability_micro=to_micro(0.5),
-                      measured_latency_us=1),
-            6,
-        )
         assert contract.total_funds_micro() == start
 
 
@@ -491,14 +392,6 @@ class TestEventLog:
         assert row["ann_id"] == 0
         assert row["payload"]["requirements"]["app_id"] == "app"
 
-    def test_operator_event_has_null_ann_id(self):
-        contract = fresh_contract()
-        event = contract.apply(addr("new"), RegisterOperator(name="n"), 1)
-        row = event_log_lines(
-            [StampedEvent(block_height=1, finality_time_us=0, event=event)]
-        )[0]
-        assert row["ann_id"] is None
-
 
 # -- random op sequences ----------------------------------------------------------
 
@@ -515,7 +408,7 @@ class ContractOps(RuleBasedStateMachine):
         self.height = 1
         self.phase_seen: dict[int, Phase] = {}
 
-    senders = st.sampled_from([CONSUMER, P1, P2, ORACLE, addr("ghost")])
+    senders = st.sampled_from([CONSUMER, P1, P2, P3, addr("ghost")])
 
     @initialize()
     def seed_announcement(self):
@@ -552,11 +445,6 @@ class ContractOps(RuleBasedStateMachine):
     @rule(sender=senders)
     def close(self, sender):
         self._apply(sender, CloseFederation(ann_id=0))
-
-    @rule(sender=senders, availability=st.integers(min_value=0, max_value=10**6))
-    def report(self, sender, availability):
-        self._apply(sender, ReportQos(
-            ann_id=0, measured_availability_micro=availability, measured_latency_us=10_000))
 
     @invariant()
     def funds_conserved(self):

@@ -10,8 +10,8 @@ from edgefed.metrics import (
     IncompleteTrace,
     MismatchedScenarios,
     NoCompleteTraces,
+    SEGMENTS,
     aggregate,
-    aggregate_rows,
     cell_filename,
     compare_rows,
     decompose,
@@ -78,10 +78,6 @@ class TestDecompose:
         assert parts.deployment_us == to_micro(4.9)
         assert parts.confirmation_us == to_micro(2.6)
         assert parts.total_us == to_micro(17.6)
-
-    def test_hatched_is_total_minus_deployment(self):
-        parts = decompose(trace())
-        assert parts.hatched_us == parts.total_us - parts.deployment_us
 
     def test_incomplete_trace_rejected(self):
         with pytest.raises(IncompleteTrace):
@@ -159,9 +155,10 @@ class TestExport:
         traces = [trace(run=r, total=20.0 + r * 0.731) for r in range(7)]
         path = tmp_path / "cell.csv"
         write_csv(traces, path, "base", "clique", 2)
-        direct = aggregate(traces)
-        reloaded = aggregate_rows(read_csv(path))
-        assert direct == reloaded
+        rows = read_csv(path)
+        assert len(rows) == len(traces)
+        for row, t in zip(rows, traces):
+            assert {name: row[name] for name in SEGMENTS} == decompose(t).as_micro_dict()
 
     def test_round_trip_is_lossless_at_microsecond_precision(self, tmp_path):
         odd = trace(total=20.000001)
@@ -181,6 +178,11 @@ class TestExport:
     def test_micro_formatting_round_trip(self):
         for value in (0, 1, 999999, to_micro(20.5), -to_micro(1.25)):
             assert parse_micro(format_micro(value)) == value
+
+    @pytest.mark.parametrize("text", ["", "-", ".5", "1.", "+-5", "1 .5", "1.2345678", "1e5"])
+    def test_parse_micro_rejects_malformed_decimals(self, text):
+        with pytest.raises(ValueError):
+            parse_micro(text)
 
 
 class TestCompare:

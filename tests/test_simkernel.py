@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from edgefed.agents import ConsumerAgent, ProviderAgent
 from edgefed.canonical import digest
-from edgefed.contract import BidPlaced, FederationClosed, ServiceAnnounced
+from edgefed.contract import BidPlaced, FederationClosed, FederationContract, ServiceAnnounced
 from edgefed.ledger import Algorithm
 from edgefed.metrics import write_csv
 from edgefed.simkernel import (
@@ -240,6 +240,15 @@ class TestRunScenario:
     def test_qbft_chain_stays_valid(self):
         result = run_once(scenario(n=10, variant="qbft", runs=1), 0)
         assert result.ledger.verify_chain()
+
+    def test_agents_submit_every_call_the_contract_handles(self):
+        # A handler no agent reaches is dead code: delete it with its call type.
+        submitted = set()
+        for cfg in (scenario(n=10, variant="clique"),
+                    replace(scenario(n=10, variant="qbft"), concurrency_mode=MODE_SINGLE)):
+            for block in run_once(cfg, 0).blocks:
+                submitted.update(type(tx.payload) for tx in block.txs)
+        assert submitted == set(FederationContract._HANDLERS)
 
 
 def record_handle_calls(monkeypatch) -> list:
