@@ -153,9 +153,10 @@ class ProviderAgent:
         if self.profile.abstain:
             return
         price = compute_bid_price(self.profile, self.pricing_ctx, self.pricing_rng)
-        bid = PlaceBid(ann_id=event.ann_id, price_micro=price)
-        self.runtime.schedule(observed_us + self.reaction_us,
-                              partial(self.runtime.submit, self.profile.address, bid))
+        submit_us = observed_us + self.reaction_us
+        bid = PlaceBid(event.ann_id, price)
+        self.runtime.schedule(submit_us,
+                              partial(self.runtime.submit_at, self.profile.address, bid, submit_us))
 
     def on_provider_chosen(self, event: ProviderChosen, observed_us: int) -> None:
         ann_id = event.ann_id

@@ -8,7 +8,10 @@ rejected on purpose; replicated state must be fixed-point.
 Encoders are built once per type, on first use, and looked up by the exact
 type of each value. A dataclass's encoder is generated code that reads each
 field once and joins the parts in one pass, with the type-name header
-computed when it is built.
+computed when it is built. The headers of int, bytes and dataclass parts
+short enough for any per-transaction record are read from fixed tables built
+at import; a longer part's header is packed when it is met. No table grows,
+and nothing is memoized across digests.
 """
 
 import dataclasses
@@ -21,6 +24,25 @@ _head = struct.Struct(">cI").pack  # tag byte, then the body length, big-endian
 
 def _lp(tag: bytes, body: bytes) -> bytes:
     return _head(tag, len(body)) + body
+
+
+class _HeadTable(dict):
+    """Body length → header for one tag: precomputed below `size`, packed on
+    lookup (and not kept) above it, so the table never grows."""
+
+    def __init__(self, tag: bytes, size: int):
+        super().__init__((n, _head(tag, n)) for n in range(size))
+        self._tag = tag
+
+    def __missing__(self, n):
+        return _head(self._tag, n)
+
+
+# Every 64-bit int has at most 20 decimal characters, an address has 20
+# bytes, and each per-transaction record's body is under 256 bytes.
+_INT_HEADS = _HeadTable(b"i", 24)
+_BYTES_HEADS = _HeadTable(b"y", 40)
+_RECORD_HEADS = _HeadTable(b"d", 256)
 
 
 def _encode_map(obj) -> bytes:
@@ -40,10 +62,10 @@ def _dataclass_encoder(cls):
             "    t = type(v)",
             "    if t is int:",
             f"        b{i} = b'%d' % v",
-            f"        h{i} = _head(b'i', len(b{i}))",
+            f"        h{i} = _INT_HEADS[len(b{i})]",
             "    elif t is bytes:",
             f"        b{i} = v",
-            f"        h{i} = _head(b'y', len(v))",
+            f"        h{i} = _BYTES_HEADS[len(v)]",
             "    else:",
             f"        b{i} = _ENCODERS[t](v)",
             f"        h{i} = b''",
@@ -51,11 +73,13 @@ def _dataclass_encoder(cls):
         parts += [f"h{i}", f"b{i}"]
     lines += [
         f"    body = b''.join(({', '.join(parts)},))",
-        "    return _head(b'd', len(body)) + body",
+        "    return _RECORD_HEADS[len(body)] + body",
     ]
     namespace = {
         "header": _lp(b"s", cls.__name__.encode("utf-8")),
-        "_head": _head,
+        "_INT_HEADS": _INT_HEADS,
+        "_BYTES_HEADS": _BYTES_HEADS,
+        "_RECORD_HEADS": _RECORD_HEADS,
         "_ENCODERS": _ENCODERS,
     }
     exec("\n".join(lines), namespace)

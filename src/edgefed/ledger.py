@@ -4,6 +4,11 @@ Mempool admission, block production on a fixed period, round-robin proposers
 over a fixed validator set, and per-algorithm finality timing. There is no
 networking or signature checking: identity is asserted, and the whole chain is
 deterministic given the sequence of submissions.
+
+A run makes one transaction per bid, so `Address` and `Transaction` are
+slotted dataclasses: each is one allocation with no instance `__dict__`.
+Nonces are kept per sender by the sender's bytes, which hash without a
+Python-level `__hash__` call.
 """
 
 import hashlib
@@ -26,7 +31,7 @@ class SmallValidatorSetWarning(UserWarning):
     """QBFT with fewer than 4 validators cannot tolerate one Byzantine fault."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Address:
     """20-byte participant identifier, ordered byte-lexicographically."""
 
@@ -99,7 +104,7 @@ def finality_delay_us(cfg: ConsensusConfig) -> int:
     return 3 * cfg.message_delay_us + cfg.validation_cost_us * rounds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     id: int
     sender: Address
@@ -150,7 +155,7 @@ class Ledger:
         # In submission order, which is clock order: submit enforces it, so
         # the transactions ready for a block are a prefix.
         self.mempool: list[Transaction] = []
-        self._next_nonce: dict[Address, int] = {}
+        self._next_nonce: dict[bytes, int] = {}  # sender.value -> next nonce
         self._next_tx_id = 0
 
     # -- transactions ------------------------------------------------------
@@ -163,8 +168,9 @@ class Ledger:
         mempool = self.mempool
         if mempool and now_us < mempool[-1].submit_time_us:
             raise LedgerError("submit_time must not precede the last pending submission")
-        nonce = self._next_nonce.get(sender, 0)
-        self._next_nonce[sender] = nonce + 1
+        key = sender.value
+        nonce = self._next_nonce.get(key, 0)
+        self._next_nonce[key] = nonce + 1
         tx = Transaction(self._next_tx_id, sender, payload, now_us, nonce)
         self._next_tx_id += 1
         mempool.append(tx)

@@ -208,7 +208,8 @@ def read_csv(path) -> list[dict]:
     """Parse an exported CSV back into micro-precision segment rows.
 
     A file that does not read as one raises MalformedCsv naming the file, the
-    row (its line number) and the column."""
+    row (its line number) and the column. So does a complete row whose five
+    segments do not sum to its `total_s` exactly."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -253,6 +254,13 @@ def _read_row(raw: dict, where: str) -> dict:
     }
     for name in SEGMENTS:  # a complete row carries every segment
         row[name] = cell(f"{name}_s", parse_micro, row["complete"])
+    if row["complete"]:
+        parts_us = sum(row[name] for name in SEGMENTS[:-1])
+        if parts_us != row["total"]:
+            raise MalformedCsv(
+                f"{where}, column total_s: the segments sum to {format_micro(parts_us)}, "
+                f"not {format_micro(row['total'])}"
+            )
     return row
 
 
@@ -268,8 +276,8 @@ def compare_rows(blockchain_rows, soa_rows) -> list[dict]:
         raise NoCompleteTraces("neither input holds a trace row")
     report = []
     for n in sorted(by_n_chain):
-        chain_mean = _mean_total_s(by_n_chain[n])
-        soa_mean = _mean_total_s(by_n_soa[n])
+        chain_mean = _mean_total_s(by_n_chain[n], "blockchain", n)
+        soa_mean = _mean_total_s(by_n_soa[n], "SOA", n)
         report.append(
             {
                 "n_systems": n,
@@ -288,8 +296,8 @@ def _group_by_n(rows) -> dict:
     return grouped
 
 
-def _mean_total_s(rows) -> float:
+def _mean_total_s(rows, source: str, n: int) -> float:
     totals = [r["total"] for r in rows if r["complete"]]
     if not totals:
-        raise NoCompleteTraces("no complete traces in comparison input")
+        raise NoCompleteTraces(f"the {source} input has no complete trace at n_systems={n}")
     return sum(totals) / len(totals) / MICRO

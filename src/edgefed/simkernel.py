@@ -21,6 +21,7 @@ in list order, which is the order broadcast used; that order fixes the
 event queue's schedule sequence and so every output byte.
 """
 
+import gc
 import hashlib
 import heapq
 import json
@@ -499,6 +500,9 @@ class _Runtime:
         self._kernel = kernel
         self._ledger = ledger
         self.schedule = kernel.schedule  # schedule(fire_us, action)
+        # submit_at(sender, call, now_us), for an action scheduled to fire at
+        # now_us: it then submits as `submit` would, without that frame.
+        self.submit_at = ledger.submit
 
     def now_us(self) -> int:
         return self._kernel.now_us
@@ -569,9 +573,22 @@ class _ChainRun:
             self.kernel.schedule(0, self.consumers[0].announce)
         self.kernel.schedule(self.ledger.next_block_time_us(), self._on_block_time)
 
+        # The cyclic collector is paused for the event loop and left as the
+        # caller had it. A run allocates transactions, bids, events and
+        # scheduled actions that all live until it ends, so every collection
+        # inside it would scan them and free nothing. gc.freeze() would not
+        # do: it exempts only what exists when it is called, not what the
+        # run allocates after, and gc.unfreeze() cannot tell the run's
+        # frozen objects from any the caller had frozen itself.
         peek_time, step = self.kernel.peek_time, self.kernel.step
-        while (fire_us := peek_time()) is not None and fire_us <= cfg.timeout_us:
-            step()
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            while (fire_us := peek_time()) is not None and fire_us <= cfg.timeout_us:
+                step()
+        finally:
+            if collecting:
+                gc.enable()
 
         return RunResult(
             run_index=self.run_index,

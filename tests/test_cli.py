@@ -189,8 +189,12 @@ class TestCompare:
         (HEADER, "cli,clique,2,0,0,,,,,,,true", "row 2, column bidding_s: empty"),
         (HEADER, ROW.replace("17.600000", "17.6000001"),
          "row 2, column total_s: cannot read '17.6000001'"),
+        # Segments 5 + 5 + 0.1 + 4.9 + 2.6 = 17.6 s: a total of 99 s would
+        # otherwise enter the overhead as 81.4 s.
+        (HEADER, ROW.replace("17.600000", "99.000000"),
+         "row 2, column total_s: the segments sum to 17.600000, not 99.000000"),
     ], ids=["missing_column", "non_numeric_n_systems", "complete_without_segments",
-            "seventh_fraction_digit"])
+            "seventh_fraction_digit", "segments_do_not_sum_to_total"])
     def test_malformed_csv_exits_1_naming_file_row_and_column(
             self, tmp_path, capsys, header, row, reason):
         err = self.compare_fails(
@@ -200,6 +204,16 @@ class TestCompare:
     def test_two_header_only_files_exit_1(self, tmp_path, capsys):
         err = self.compare_fails(tmp_path, capsys, self.HEADER + "\n", self.HEADER + "\n")
         assert "neither input holds a trace row" in err
+
+    INCOMPLETE_ROW = "cli,clique,2,0,0,,,,,,,false"
+
+    @pytest.mark.parametrize("incomplete_side, source", [("chain", "blockchain"), ("soa", "SOA")])
+    def test_input_without_a_complete_row_at_some_n_exits_1_naming_it(
+            self, tmp_path, capsys, incomplete_side, source):
+        texts = {side: f"{self.HEADER}\n{self.ROW}\n" for side in ("chain", "soa")}
+        texts[incomplete_side] = f"{self.HEADER}\n{self.INCOMPLETE_ROW}\n"
+        err = self.compare_fails(tmp_path, capsys, texts["chain"], texts["soa"])
+        assert f"the {source} input has no complete trace at n_systems=2" in err
 
 
 class TestValidateConfig:

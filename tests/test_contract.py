@@ -9,11 +9,14 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from edgefed.contract import (
     AnnounceService,
     Bid,
+    BidPlaced,
     ChooseProvider,
     CloseFederation,
     ConfirmDeployment,
     ContractGenesis,
+    DeploymentConfirmed,
     DepositBelowPenalty,
+    FederationClosed,
     FederationContract,
     InsufficientBalance,
     NotConsumer,
@@ -23,6 +26,7 @@ from edgefed.contract import (
     OverlayEndpoint,
     Phase,
     PlaceBid,
+    ProviderChosen,
     SelfBid,
     ServiceAnnounced,
     ServiceRequirements,
@@ -391,6 +395,54 @@ class TestEventLog:
         assert row["finality_time_s"] == "5.000000"
         assert row["ann_id"] == 0
         assert row["payload"]["requirements"]["app_id"] == "app"
+
+
+# -- records ---------------------------------------------------------------------
+
+CALLS = [
+    AnnounceService(requirements=REQS, consumer_endpoint=ENDPOINT, sla=SLA,
+                    deposit_micro=to_micro(10.0)),
+    PlaceBid(ann_id=0, price_micro=1),
+    ChooseProvider(ann_id=0),
+    ConfirmDeployment(ann_id=0, provider_endpoint=ENDPOINT),
+    CloseFederation(ann_id=0),
+]
+EVENTS = [
+    ServiceAnnounced(ann_id=0, requirements=REQS),
+    BidPlaced(ann_id=0, bid_count=1),
+    ProviderChosen(ann_id=0, winner=P1, consumer_endpoint=ENDPOINT),
+    DeploymentConfirmed(ann_id=0, provider_endpoint=ENDPOINT),
+    FederationClosed(ann_id=0),
+]
+
+
+class TestRecords:
+    """Calls, events and bids are made once per transaction: each is one
+    slotted allocation, and calls and events stay immutable."""
+
+    def test_every_call_is_covered(self):
+        assert {type(call) for call in CALLS} == set(FederationContract._HANDLERS)
+
+    def test_every_handler_event_is_covered(self):
+        contract = fresh_contract(min_offers=1)
+        made = [
+            contract.apply(CONSUMER, CALLS[0], 1),
+            contract.apply(P1, CALLS[1], 2),
+            contract.apply(CONSUMER, CALLS[2], 3),
+            contract.apply(P1, CALLS[3], 4),
+            contract.apply(CONSUMER, CALLS[4], 5),
+        ]
+        assert [type(event) for event in made] == [type(event) for event in EVENTS]
+
+    @pytest.mark.parametrize("record", CALLS + EVENTS, ids=lambda record: type(record).__name__)
+    def test_fields_are_frozen_and_there_is_no_instance_dict(self, record):
+        for f in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+        assert not hasattr(record, "__dict__")
+
+    def test_bid_has_no_instance_dict(self):
+        assert not hasattr(Bid(0, P1, 1, 2, 0), "__dict__")
 
 
 # -- random op sequences ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -13,6 +14,7 @@ from edgefed.ledger import (
     LedgerError,
     SmallValidatorSetWarning,
     StampedEvent,
+    Transaction,
     block_digest,
     finality_delay_us,
     write_chain_dump,
@@ -54,6 +56,17 @@ class TestAddress:
         a = Address(bytes(range(20)))
         assert str(a) == a.value.hex()
         assert len(a.hex) == 40
+
+    @pytest.mark.parametrize("record", [
+        Address(bytes(20)),
+        Transaction(id=0, sender=Address(bytes(20)), payload=Ping(), submit_time_us=0, nonce=0),
+    ], ids=["Address", "Transaction"])
+    def test_fields_are_frozen_and_there_is_no_instance_dict(self, record):
+        # One of each per transaction: one slotted allocation, immutable.
+        for f in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+        assert not hasattr(record, "__dict__")
 
 
 class TestSubmission:

@@ -15,6 +15,9 @@ REFERENCE = (ref_simkernel, ref_ledger, ref_contract, ref_metrics)
 CASES = {
     # 96 consumers announce at once to 24 providers: 2,304 bids in one block.
     "clique_n120_all": {"topology": {"n_systems": 120}, "consensus": {"algorithm": "clique"}},
+    # 240 consumers announce at once to 60 providers: 14,400 bids in one
+    # block, the scale at which the bid path's per-transaction cost counts.
+    "clique_n300_all": {"topology": {"n_systems": 300}, "consensus": {"algorithm": "clique"}},
     # One federation at a time with no delay anywhere, so every reaction is
     # scheduled at the instant its event is observed; a third of the
     # providers abstain.

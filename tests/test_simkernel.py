@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import heapq
 import itertools
@@ -249,6 +250,51 @@ class TestRunScenario:
             for block in run_once(cfg, 0).blocks:
                 submitted.update(type(tx.payload) for tx in block.txs)
         assert submitted == set(FederationContract._HANDLERS)
+
+
+@pytest.fixture
+def restore_collector():
+    """Puts the cyclic collector back as it was, whatever the test left."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def spy_on_blocks(monkeypatch, fail: bool = False) -> list:
+    """gc.isenabled() at each block executed from now on; each raises if `fail`."""
+    seen = []
+    original = FederationContract.execute_block
+
+    def spy(self, block):
+        seen.append(gc.isenabled())
+        if fail:
+            raise RuntimeError("block failed")
+        return original(self, block)
+
+    monkeypatch.setattr(FederationContract, "execute_block", spy)
+    return seen
+
+
+class TestCollector:
+    """A run pauses the cyclic collector and leaves it as its caller had it."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["entered_enabled", "entered_disabled"])
+    def test_run_once_leaves_the_collector_as_it_found_it(
+            self, monkeypatch, restore_collector, enabled):
+        seen = spy_on_blocks(monkeypatch)
+        (gc.enable if enabled else gc.disable)()
+        assert run_once(scenario(n=10), 0).traces[0].complete
+        assert gc.isenabled() is enabled
+        assert seen and not any(seen)
+
+    def test_a_run_whose_step_raises_restores_the_collector(
+            self, monkeypatch, restore_collector):
+        seen = spy_on_blocks(monkeypatch, fail=True)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="block failed"):
+            run_once(scenario(n=10), 0)
+        assert gc.isenabled()
+        assert seen == [False]
 
 
 def record_handle_calls(monkeypatch) -> list:
