@@ -31,6 +31,7 @@ class SmallValidatorSetWarning(UserWarning):
     """QBFT with fewer than 4 validators cannot tolerate one Byzantine fault."""
 
 
+@canonical.fixed_bytes(20)
 @dataclass(frozen=True, order=True, slots=True)
 class Address:
     """20-byte participant identifier, ordered byte-lexicographically."""

@@ -4,11 +4,17 @@ A FederationTrace is the per-federation timeline in integer microseconds of
 simulated time; integer storage makes the five phase segments sum to the total
 exactly and keeps exports lossless. Aggregates use population variance (noted
 in output metadata).
+
+One helper, `_segments`, turns a complete trace into its six integer segments;
+`decompose`, both writers and `aggregate` all read them from it. A row is a
+tuple of strings in `CSV_COLUMNS` order, written as CSV by `csv.writer` and
+as JSON lines through one fixed sorted-key template.
 """
 
 import csv
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .units import MICRO, format_micro, parse_micro
 
@@ -100,17 +106,21 @@ class PhaseBreakdown:
         }
 
 
+def _segments(trace: FederationTrace) -> tuple:
+    """The six segments of a complete trace in `SEGMENTS` order, in µs."""
+    start = trace.announce_submitted_us
+    bid = trace.second_bid_finalized_us
+    win = trace.winner_finalized_us
+    deploy = trace.deployment_started_us
+    confirm = trace.confirm_finalized_us
+    close = trace.close_finalized_us
+    return (bid - start, win - bid, deploy - win, confirm - deploy, close - confirm, close - start)
+
+
 def decompose(trace: FederationTrace) -> PhaseBreakdown:
     if not trace.complete:
         raise IncompleteTrace(f"trace for announcement {trace.ann_id} is incomplete")
-    return PhaseBreakdown(
-        bidding_us=trace.second_bid_finalized_us - trace.announce_submitted_us,
-        winner_selection_us=trace.winner_finalized_us - trace.second_bid_finalized_us,
-        info_exchange_us=trace.deployment_started_us - trace.winner_finalized_us,
-        deployment_us=trace.confirm_finalized_us - trace.deployment_started_us,
-        confirmation_us=trace.close_finalized_us - trace.confirm_finalized_us,
-        total_us=trace.close_finalized_us - trace.announce_submitted_us,
-    )
+    return PhaseBreakdown(*_segments(trace))
 
 
 @dataclass(frozen=True)
@@ -142,12 +152,10 @@ def _stats(values_us) -> SegmentStats:
 
 
 def aggregate(traces) -> AggregateStats:
-    rows = [decompose(t).as_micro_dict() for t in traces if t.complete]
+    rows = [_segments(t) for t in traces if t.complete]
     if not rows:
         raise NoCompleteTraces("no complete traces to aggregate")
-    segments = {
-        name: _stats([row[name] for row in rows]) for name in SEGMENTS
-    }
+    segments = {name: _stats([row[i] for row in rows]) for i, name in enumerate(SEGMENTS)}
     return AggregateStats(
         segments=segments, n_samples=len(rows), n_incomplete=len(traces) - len(rows)
     )
@@ -160,48 +168,46 @@ def cell_filename(scenario_id: str, consensus: str, n_systems: int, suffix="csv"
     return f"{scenario_id}_{consensus}_{n_systems}.{suffix}"
 
 
-def _trace_row(trace: FederationTrace, scenario_id, consensus, n_systems) -> dict:
-    row = {
-        "scenario_id": scenario_id,
-        "consensus": consensus,
-        "n_systems": str(n_systems),
-        "run": str(trace.run),
-        "ann_id": "" if trace.ann_id is None else str(trace.ann_id),
-        "complete": "true" if trace.complete else "false",
-    }
-    if trace.complete:
-        parts = decompose(trace)
-        row.update(
-            {
-                "bidding_s": format_micro(parts.bidding_us),
-                "winner_selection_s": format_micro(parts.winner_selection_us),
-                "info_exchange_s": format_micro(parts.info_exchange_us),
-                "deployment_s": format_micro(parts.deployment_us),
-                "confirmation_s": format_micro(parts.confirmation_us),
-                "total_s": format_micro(parts.total_us),
-            }
-        )
-    else:
-        for name in SEGMENTS:
-            row[f"{name}_s"] = ""
-    return row
+_NO_SEGMENTS = ("",) * len(SEGMENTS)
+
+
+def _rows(traces, scenario_id, consensus, n_systems):
+    """One tuple of strings per trace, in `CSV_COLUMNS` order."""
+    n_text = str(n_systems)
+    for trace in traces:
+        ann_id = "" if trace.ann_id is None else str(trace.ann_id)
+        if trace.complete:
+            yield (scenario_id, consensus, n_text, str(trace.run), ann_id,
+                   *map(format_micro, _segments(trace)), "true")
+        else:
+            yield (scenario_id, consensus, n_text, str(trace.run), ann_id, *_NO_SEGMENTS, "false")
+
+
+# `json.dumps(row, sort_keys=True)` for a row of strings: its keys in sorted
+# order, each value escaped by the same C function json uses.
+_JSON_KEYS = sorted(CSV_COLUMNS)
+_JSON_LINE = "{" + ", ".join(f'"{key}": %s' for key in _JSON_KEYS) + "}\n"
+_json_order = itemgetter(*[CSV_COLUMNS.index(key) for key in _JSON_KEYS])
 
 
 def write_csv(traces, path, scenario_id, consensus, n_systems) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for trace in traces:
-            writer.writerow(_trace_row(trace, scenario_id, consensus, n_systems))
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(_rows(traces, scenario_id, consensus, n_systems))
 
 
 def write_jsonl(traces, path, scenario_id, consensus, n_systems) -> None:
-    """Same field names as the CSV, one JSON object per trace."""
+    """The CSV's rows, one per line as `json.dumps(row, sort_keys=True)`
+    with every value a string."""
     with open(path, "w", encoding="utf-8") as fh:
-        for trace in traces:
-            row = _trace_row(trace, scenario_id, consensus, n_systems)
-            fh.write(json.dumps(row, sort_keys=True))
-            fh.write("\n")
+        # A list, not tuple(map(...)): that tuple is grown by resizing, which
+        # allocates past the tuple free list but releases into it, so up to
+        # 2,000 dead twelve-item tuples would stay parked there.
+        fh.writelines(
+            _JSON_LINE % _json_order(list(map(encode_basestring_ascii, row)))
+            for row in _rows(traces, scenario_id, consensus, n_systems)
+        )
 
 
 def read_csv(path) -> list[dict]:

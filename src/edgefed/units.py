@@ -19,9 +19,9 @@ def to_micro(value: float) -> int:
 
 def format_micro(value: int) -> str:
     """Render an integer-micro value with exactly six fractional digits."""
-    sign = "-" if value < 0 else ""
-    v = abs(value)
-    return f"{sign}{v // MICRO}.{v % MICRO:06d}"
+    if value < 0:
+        return "-%d.%06d" % divmod(-value, MICRO)
+    return "%d.%06d" % divmod(value, MICRO)
 
 
 def parse_micro(text: str) -> int:

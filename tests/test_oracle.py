@@ -1,13 +1,21 @@
-"""Runs past the paper's N <= 30, checked byte for byte against the frozen
-reference copy of the simulator in `perfbench/reference_edgefed`."""
+"""Runs past the paper's N <= 30, the paper sweep itself, and trace export on
+odd inputs, each checked byte for byte against the frozen reference copy of
+the simulator in `perfbench/reference_edgefed`."""
+
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edgefed import contract, ledger, metrics, simkernel
+from edgefed import cli, contract, ledger, metrics, simkernel, units
+from perfbench.reference_edgefed import cli as ref_cli
 from perfbench.reference_edgefed import contract as ref_contract
 from perfbench.reference_edgefed import ledger as ref_ledger
 from perfbench.reference_edgefed import metrics as ref_metrics
 from perfbench.reference_edgefed import simkernel as ref_simkernel
+from perfbench.reference_edgefed import units as ref_units
 
 PROGRAM = (simkernel, ledger, contract, metrics)
 REFERENCE = (ref_simkernel, ref_ledger, ref_contract, ref_metrics)
@@ -53,3 +61,107 @@ def test_run_matches_the_frozen_reference(case, tmp_path):
     assert digests == ref_digests
     assert events == ref_events
     assert b",true\n" in csv  # federations complete, so the comparison covers them
+
+
+SWEEP_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "sweep.json"
+
+
+def test_paper_sweep_matches_the_frozen_reference(tmp_path, capsys):
+    """`edgefed sweep` on the paper's grid: every output file and stdout."""
+    outputs = []
+    for label, main in (("program", cli.main), ("reference", ref_cli.main)):
+        out = tmp_path / label
+        assert main(["sweep", "--config", str(SWEEP_CONFIG), "--seed", "7", "--out", str(out)]) == 0
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        outputs.append((files, capsys.readouterr().out))
+    (files, stdout), (ref_files, ref_stdout) = outputs
+    assert len(files) == 31  # 15 cells x (CSV, JSONL) and the summary
+    assert files == ref_files
+    assert stdout == ref_stdout
+
+
+# -- export of odd inputs -------------------------------------------------------
+
+ODD_IDS = ["plain", "a,b", 'say "hi"', "two\nlines", "100%s %d", "back\\slash", "héllo €, ☃"]
+SECOND = units.MICRO
+STAMPS = ("announce_submitted_us", "announce_finalized_us", "second_bid_finalized_us",
+          "winner_finalized_us", "deployment_started_us", "confirm_finalized_us",
+          "close_finalized_us")
+
+
+def make_trace(run, ann_id, stamps, complete=True) -> metrics.FederationTrace:
+    return metrics.FederationTrace(
+        run=run, ann_id=ann_id, consumer="c0", winner="p0" if complete else None,
+        complete=complete, **dict(zip(STAMPS, stamps)),
+    )
+
+
+ODD_TRACES = [
+    make_trace(0, 0, [0] * 7),  # every segment 0
+    make_trace(1, None, [0, 1, 2, 3, 4, 5, 6]),  # a null ann_id
+    make_trace(2, 7, [0, 5 * SECOND, 10**6 * SECOND, 10**6 * SECOND + 1,
+                      3 * 10**6 * SECOND, 3 * 10**6 * SECOND + 999_999, 10**7 * SECOND]),
+    make_trace(3, 8, [10 * SECOND, 0, 5 * SECOND, 1, 2 * SECOND, 1_999_999, -SECOND]),  # negative
+    make_trace(4, 9, [0, 5 * SECOND, None, None, None, None, None], complete=False),
+    make_trace(5, None, [None] * 7, complete=False),
+]
+
+
+def exported(met, traces, tmp_path, scenario_id, consensus="clique", n_systems=30) -> tuple:
+    """The CSV and JSONL bytes written by one metrics module, or what it raised."""
+    out = []
+    for writer, suffix in ((met.write_csv, "csv"), (met.write_jsonl, "jsonl")):
+        path = tmp_path / f"{met.__name__}.{suffix}"
+        try:
+            writer(traces, path, scenario_id, consensus, n_systems)
+        except Exception as err:  # compared by type: both copies must fail alike
+            out.append(type(err).__name__)
+        else:
+            out.append(path.read_bytes())
+    return tuple(out)
+
+
+def aggregated(met, traces):
+    """`aggregate` as plain values, floats by repr so equality is bit-exact."""
+    try:
+        return repr(asdict(met.aggregate(traces)))
+    except met.NoCompleteTraces:
+        return "NoCompleteTraces"
+
+
+@pytest.mark.parametrize("scenario_id", ODD_IDS)
+def test_export_of_odd_inputs_matches_the_frozen_reference(scenario_id, tmp_path):
+    csv, jsonl = exported(metrics, ODD_TRACES, tmp_path, scenario_id)
+    assert (csv, jsonl) == exported(ref_metrics, ODD_TRACES, tmp_path, scenario_id)
+    assert jsonl.count(b"\n") == len(ODD_TRACES)
+    assert aggregated(metrics, ODD_TRACES) == aggregated(ref_metrics, ODD_TRACES)
+    assert aggregated(metrics, ODD_TRACES[-2:]) == "NoCompleteTraces"
+
+
+@pytest.mark.parametrize("value", [
+    0, 1, -1, 999_999, -999_999, 10**6, -(10**6), 10**6 + 1, -(10**6) - 1,
+    10**12, -(10**12) - 7, 2**63 - 1, -(2**63), 10**30 + 5,
+])
+def test_format_micro_matches_the_frozen_reference(value):
+    assert units.format_micro(value) == ref_units.format_micro(value)
+
+
+_STAMP = st.one_of(st.integers(-(10**13), 10**13), st.integers())
+_TRACE = st.builds(
+    lambda run, ann_id, stamps, complete: make_trace(
+        run, ann_id, stamps if complete else [s if i < 2 else None for i, s in enumerate(stamps)],
+        complete),
+    st.integers(0, 10**4), st.none() | st.integers(0, 10**6),
+    st.lists(_STAMP, min_size=7, max_size=7), st.booleans(),
+)
+
+
+@given(traces=st.lists(_TRACE, max_size=8), scenario_id=st.text(max_size=12),
+       consensus=st.sampled_from(["clique", "qbft", "soa"]), n_systems=st.integers(2, 1000))
+@settings(max_examples=150, deadline=None)
+def test_export_of_drawn_traces_matches_the_frozen_reference(tmp_path_factory, traces,
+                                                              scenario_id, consensus, n_systems):
+    tmp_path = tmp_path_factory.mktemp("export")
+    assert exported(metrics, traces, tmp_path, scenario_id, consensus, n_systems) == \
+        exported(ref_metrics, traces, tmp_path, scenario_id, consensus, n_systems)
+    assert aggregated(metrics, traces) == aggregated(ref_metrics, traces)
