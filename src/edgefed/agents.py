@@ -7,6 +7,13 @@ never overlap). Consumers announce, select, attach, and close. The SOA
 baseline performs the same lowest-price federation over direct request and
 response exchanges with pre-trusted peers, with no block-period waits; its
 providers serve requests concurrently, so no cross-consumer queueing.
+
+Agents act on the simulation only through two callables they are built
+with: the kernel's `schedule(fire_us, action)` and the ledger's
+`submit(sender, call, now_us)`. Each reaction schedules
+`partial(submit, address, call, t)` to fire at its submit instant t, or, for
+a deployment, `start_deployment` at the instant it starts. An announcement
+is itself an action the kernel schedules: `announce(now_us)` submits at once.
 """
 
 from dataclasses import dataclass
@@ -134,48 +141,32 @@ class ProviderAgent:
     won; the kernel routes each event only to the agents it concerns.
     """
 
-    def __init__(self, profile: ProviderProfile, runtime, pricing_ctx, pricing_rng,
+    def __init__(self, profile: ProviderProfile, schedule, submit, pricing_ctx, pricing_rng,
                  reaction_us: int):
         self.profile = profile
-        self.runtime = runtime
+        self.schedule = schedule
+        self.submit = submit
         self.pricing_ctx = pricing_ctx
         self.pricing_rng = pricing_rng
         self.reaction_us = reaction_us
         self.queue = DeploymentQueue(profile.deploy_model)
 
     def handle(self, event, observed_us: int) -> None:
+        react_us = observed_us + self.reaction_us
         if isinstance(event, ServiceAnnounced):
-            self.on_service_announced(event, observed_us)
+            if not self.profile.abstain:
+                price = compute_bid_price(self.profile, self.pricing_ctx, self.pricing_rng)
+                bid = PlaceBid(event.ann_id, price)
+                self.schedule(react_us, partial(self.submit, self.profile.address, bid, react_us))
         elif isinstance(event, ProviderChosen):
-            self.on_provider_chosen(event, observed_us)
+            self.schedule(react_us, partial(self.start_deployment, event.ann_id, react_us))
 
-    def on_service_announced(self, event: ServiceAnnounced, observed_us: int) -> None:
-        if self.profile.abstain:
-            return
-        price = compute_bid_price(self.profile, self.pricing_ctx, self.pricing_rng)
-        submit_us = observed_us + self.reaction_us
-        bid = PlaceBid(event.ann_id, price)
-        self.runtime.schedule(submit_us,
-                              partial(self.runtime.submit_at, self.profile.address, bid, submit_us))
-
-    def on_provider_chosen(self, event: ProviderChosen, observed_us: int) -> None:
-        ann_id = event.ann_id
-
-        def start_deployment():
-            job = self.queue.enqueue(ann_id, self.runtime.now_us())
-            endpoint = OverlayEndpoint(
-                ip=f"10.200.{ann_id % 250}.2", udp_port=4789, vni=1000 + ann_id
-            )
-
-            def submit_confirm():
-                self.runtime.submit(
-                    self.profile.address,
-                    ConfirmDeployment(ann_id=ann_id, provider_endpoint=endpoint),
-                )
-
-            self.runtime.schedule(job.confirm_submitted_us, submit_confirm)
-
-        self.runtime.schedule(observed_us + self.reaction_us, start_deployment)
+    def start_deployment(self, ann_id: int, now_us: int) -> None:
+        job = self.queue.enqueue(ann_id, now_us)
+        endpoint = OverlayEndpoint(ip=f"10.200.{ann_id % 250}.2", udp_port=4789, vni=1000 + ann_id)
+        confirm = ConfirmDeployment(ann_id=ann_id, provider_endpoint=endpoint)
+        submit_us = job.confirm_submitted_us
+        self.schedule(submit_us, partial(self.submit, self.profile.address, confirm, submit_us))
 
 
 class ConsumerAgent:
@@ -184,10 +175,11 @@ class ConsumerAgent:
     `handle` receives only the events of this consumer's own federation.
     """
 
-    def __init__(self, profile: ConsumerProfile, runtime, endpoint: OverlayEndpoint,
+    def __init__(self, profile: ConsumerProfile, schedule, submit, endpoint: OverlayEndpoint,
                  sla: SlaTerms, deposit_micro: int, min_offers: int, reaction_us: int):
         self.profile = profile
-        self.runtime = runtime
+        self.schedule = schedule
+        self.submit = submit
         self.endpoint = endpoint
         self.sla = sla
         self.deposit_micro = deposit_micro
@@ -197,27 +189,28 @@ class ConsumerAgent:
         self.winner: Address | None = None
         self.announce_submitted_us: int | None = None
         self.announce_finalized_us: int | None = None
-        self.second_bid_finalized_us: int | None = None
+        self.second_bid_finalized_us: int | None = None  # set once: selection is issued
         self.winner_finalized_us: int | None = None
         self.confirm_finalized_us: int | None = None
         self.established_us: int | None = None
-        self._selection_issued = False
 
-    def announce(self) -> None:
-        self.announce_submitted_us = self.runtime.now_us()
-        self.runtime.submit(
-            self.profile.address,
-            AnnounceService(
-                requirements=self.profile.requirements,
-                consumer_endpoint=self.endpoint,
-                sla=self.sla,
-                deposit_micro=self.deposit_micro,
-            ),
+    def announce(self, now_us: int) -> None:
+        self.announce_submitted_us = now_us
+        announcement = AnnounceService(
+            requirements=self.profile.requirements,
+            consumer_endpoint=self.endpoint,
+            sla=self.sla,
+            deposit_micro=self.deposit_micro,
         )
+        self.submit(self.profile.address, announcement, now_us)
 
     def handle(self, event, observed_us: int) -> None:
         if isinstance(event, BidPlaced):  # most events: one per bid
-            self.on_bid_placed(event, observed_us)
+            if self.second_bid_finalized_us is None and event.bid_count >= self.min_offers:
+                self.second_bid_finalized_us = observed_us
+                choose_us = observed_us + self.reaction_us
+                self.schedule(choose_us, partial(self.submit, self.profile.address,
+                                                 ChooseProvider(ann_id=self.ann_id), choose_us))
         elif isinstance(event, ServiceAnnounced):
             self.ann_id = event.ann_id
             self.announce_finalized_us = observed_us
@@ -225,32 +218,10 @@ class ConsumerAgent:
             self.winner = event.winner
             self.winner_finalized_us = observed_us
         elif isinstance(event, DeploymentConfirmed):
-            self.on_deployment_confirmed(event, observed_us)
-
-    def on_bid_placed(self, event: BidPlaced, observed_us: int) -> None:
-        if self._selection_issued:
-            return
-        if event.bid_count < self.min_offers:
-            return
-        self._selection_issued = True
-        self.second_bid_finalized_us = observed_us
-        ann_id = self.ann_id
-
-        def submit_choose():
-            self.runtime.submit(self.profile.address, ChooseProvider(ann_id=ann_id))
-
-        self.runtime.schedule(observed_us + self.reaction_us, submit_choose)
-
-    def on_deployment_confirmed(self, event: DeploymentConfirmed, observed_us: int) -> None:
-        self.confirm_finalized_us = observed_us
-        established = observed_us + self.profile.attach_time_us
-        self.established_us = established
-        ann_id = self.ann_id
-
-        def submit_close():
-            self.runtime.submit(self.profile.address, CloseFederation(ann_id=ann_id))
-
-        self.runtime.schedule(established, submit_close)
+            self.confirm_finalized_us = observed_us
+            established = self.established_us = observed_us + self.profile.attach_time_us
+            self.schedule(established, partial(self.submit, self.profile.address,
+                                               CloseFederation(ann_id=self.ann_id), established))
 
 
 def soa_federate(consumer: ConsumerProfile, providers, rtt_us: int,

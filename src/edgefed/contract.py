@@ -99,7 +99,6 @@ class SlaTerms:
 
 @dataclass(frozen=True, slots=True)
 class AnnounceService:
-    KIND = "AnnounceService"
     requirements: ServiceRequirements
     consumer_endpoint: OverlayEndpoint
     sla: SlaTerms
@@ -108,27 +107,23 @@ class AnnounceService:
 
 @dataclass(frozen=True, slots=True)
 class PlaceBid:
-    KIND = "PlaceBid"
     ann_id: int
     price_micro: int
 
 
 @dataclass(frozen=True, slots=True)
 class ChooseProvider:
-    KIND = "ChooseProvider"
     ann_id: int
 
 
 @dataclass(frozen=True, slots=True)
 class ConfirmDeployment:
-    KIND = "ConfirmDeployment"
     ann_id: int
     provider_endpoint: OverlayEndpoint
 
 
 @dataclass(frozen=True, slots=True)
 class CloseFederation:
-    KIND = "CloseFederation"
     ann_id: int
 
 
@@ -139,14 +134,12 @@ class CloseFederation:
 class ServiceAnnounced:
     """Carries the announcement id and requirements only (data minimization)."""
 
-    KIND = "ServiceAnnounced"
     ann_id: int
     requirements: ServiceRequirements
 
 
 @dataclass(frozen=True, slots=True)
 class BidPlaced:
-    KIND = "BidPlaced"
     ann_id: int
     bid_count: int
 
@@ -155,7 +148,6 @@ class BidPlaced:
 class ProviderChosen:
     """Releases the consumer endpoint to the winner at selection time."""
 
-    KIND = "ProviderChosen"
     ann_id: int
     winner: Address
     consumer_endpoint: OverlayEndpoint
@@ -163,14 +155,12 @@ class ProviderChosen:
 
 @dataclass(frozen=True, slots=True)
 class DeploymentConfirmed:
-    KIND = "DeploymentConfirmed"
     ann_id: int
     provider_endpoint: OverlayEndpoint
 
 
 @dataclass(frozen=True, slots=True)
 class FederationClosed:
-    KIND = "FederationClosed"
     ann_id: int
 
 
@@ -411,7 +401,7 @@ def event_log_lines(stamped_events) -> list[dict]:
             {
                 "block_height": se.block_height,
                 "finality_time_s": format_micro(se.finality_time_us),
-                "event_kind": se.event.KIND,
+                "event_kind": type(se.event).__name__,
                 "ann_id": se.event.ann_id,
                 "payload": payload,
             }

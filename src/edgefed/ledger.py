@@ -229,21 +229,16 @@ class Ledger:
     # -- export --------------------------------------------------------------
 
     def chain_dump(self) -> list[dict]:
-        rows = []
-        for block in self.chain:
-            rows.append(
-                {
-                    "height": block.height,
-                    "proposer": block.proposer.hex,
-                    "timestamp_s": format_micro(block.timestamp_us),
-                    "finality_time_s": format_micro(block.finality_time_us),
-                    "txs": [
-                        {"id": tx.id, "kind": getattr(tx.payload, "KIND", type(tx.payload).__name__)}
-                        for tx in block.txs
-                    ],
-                }
-            )
-        return rows
+        return [
+            {
+                "height": block.height,
+                "proposer": block.proposer.hex,
+                "timestamp_s": format_micro(block.timestamp_us),
+                "finality_time_s": format_micro(block.finality_time_us),
+                "txs": [{"id": tx.id, "kind": type(tx.payload).__name__} for tx in block.txs],
+            }
+            for block in self.chain
+        ]
 
 
 def write_chain_dump(ledger: Ledger, path) -> None:

@@ -19,6 +19,11 @@ consumer and, for the selection, to the winner. Events no agent acts on go
 to none. Recipients of one event are called consumers first, then providers,
 in list order, which is the order broadcast used; that order fixes the
 event queue's schedule sequence and so every output byte.
+
+Agents see nothing of the kernel but its bound `schedule` and nothing of the
+ledger but its bound `submit`, both passed in when a run builds them. Each
+submission is scheduled to fire at its own submit instant and carries that
+instant, so no agent reads the clock.
 """
 
 import gc
@@ -252,6 +257,10 @@ class ScenarioConfig:
             raise ConfigInvalid("consensus delays must be non-negative")
         if self.timeout_us <= 0:
             raise ConfigInvalid("scenario timeout must be positive")
+        if not self.sweep_n:
+            raise ConfigInvalid("sweep.n_systems must not be empty")
+        if not self.sweep_variants:
+            raise ConfigInvalid("sweep.variants must not be empty")
         if any(n < 2 for n in self.sweep_n):
             raise ConfigInvalid("sweep.n_systems must each be at least 2")
         if not isinstance(self.output_dir, (str, type(None))):
@@ -493,24 +502,6 @@ class RunResult:
                 for stamped in self.ledger.publish_events(block, events)]
 
 
-class _Runtime:
-    """What agents see of the kernel: a clock, a scheduler and tx submission."""
-
-    def __init__(self, kernel: EventQueue, ledger: Ledger):
-        self._kernel = kernel
-        self._ledger = ledger
-        self.schedule = kernel.schedule  # schedule(fire_us, action)
-        # submit_at(sender, call, now_us), for an action scheduled to fire at
-        # now_us: it then submits as `submit` would, without that frame.
-        self.submit_at = ledger.submit
-
-    def now_us(self) -> int:
-        return self._kernel.now_us
-
-    def submit(self, sender: Address, call) -> None:
-        self._ledger.submit(sender, call, self._kernel.now_us)
-
-
 class _ChainRun:
     def __init__(self, cfg: ScenarioConfig, run_index: int):
         self.cfg = cfg
@@ -521,7 +512,6 @@ class _ChainRun:
         self.ledger = Ledger(build_consensus(cfg, self.participants))
         self.contract = FederationContract(self.genesis)
         self.kernel = EventQueue()
-        self.runtime = _Runtime(self.kernel, self.ledger)
         self.published = []
         # FederationClosed events executed so far; contract phases change only
         # in execute_block, so this equals the count of CLOSED federations.
@@ -538,7 +528,8 @@ class _ChainRun:
             self.providers.append(
                 ProviderAgent(
                     profile=profile,
-                    runtime=self.runtime,
+                    schedule=self.kernel.schedule,
+                    submit=self.ledger.submit,
                     pricing_ctx=ctx,
                     pricing_rng=rngs.stream(f"pricing/run{run_index}/provider{rank}"),
                     reaction_us=cfg.agents.reaction_delay_us,
@@ -547,7 +538,8 @@ class _ChainRun:
         self.consumers = [
             ConsumerAgent(
                 profile=profile,
-                runtime=self.runtime,
+                schedule=self.kernel.schedule,
+                submit=self.ledger.submit,
                 endpoint=OverlayEndpoint(ip=f"10.{i % 250}.0.1", udp_port=4789, vni=100 + i),
                 sla=cfg.agents.sla,
                 deposit_micro=cfg.agents.deposit_micro,
@@ -566,11 +558,9 @@ class _ChainRun:
 
     def execute(self) -> RunResult:
         cfg = self.cfg
-        if cfg.concurrency_mode == MODE_ALL:
-            for consumer in self.consumers:
-                self.kernel.schedule(0, consumer.announce)
-        else:
-            self.kernel.schedule(0, self.consumers[0].announce)
+        starters = self.consumers if cfg.concurrency_mode == MODE_ALL else self.consumers[:1]
+        for consumer in starters:
+            self.kernel.schedule(0, partial(consumer.announce, 0))
         self.kernel.schedule(self.ledger.next_block_time_us(), self._on_block_time)
 
         # The cyclic collector is paused for the event loop and left as the
@@ -646,7 +636,8 @@ class _ChainRun:
         if self._closed < len(self.consumers):
             nxt = self.consumers[self._closed]
             if nxt.announce_submitted_us is None:
-                self.kernel.schedule(finality_us + self.cfg.agents.reaction_delay_us, nxt.announce)
+                announce_us = finality_us + self.cfg.agents.reaction_delay_us
+                self.kernel.schedule(announce_us, partial(nxt.announce, announce_us))
 
     def _traces(self) -> list:
         jobs = {}

@@ -5,16 +5,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgefed.agents import (
+    ConsumerAgent,
     ConsumerProfile,
     DeploymentModel,
     DeploymentQueue,
     PricingContext,
+    ProviderAgent,
     ProviderProfile,
     ProviderUnavailable,
     compute_bid_price,
     soa_federate,
 )
-from edgefed.contract import PlaceBid, ServiceRequirements
+from edgefed.contract import (
+    BidPlaced,
+    ChooseProvider,
+    CloseFederation,
+    ConfirmDeployment,
+    DeploymentConfirmed,
+    OverlayEndpoint,
+    PlaceBid,
+    ProviderChosen,
+    ServiceAnnounced,
+    ServiceRequirements,
+    SlaTerms,
+)
 from edgefed.metrics import decompose
 from edgefed.simkernel import run_once
 from edgefed.units import to_micro
@@ -173,6 +187,116 @@ class TestConsumerReactions:
         result = run_once(scenario(n=4, runs=1), 0)
         assert all(t.complete for t in result.traces)
         assert len({t.ann_id for t in result.traces}) == 3
+
+
+class Recorder:
+    """A recording `schedule` and `submit` in place of the kernel and the
+    ledger, so an agent can be driven without either."""
+
+    def __init__(self):
+        self.scheduled = []  # (fire_us, action), in schedule order
+        self.submitted = []  # (fire_us of the submitting action, sender, call, now_us)
+        self.clock_us = None
+
+    def schedule(self, fire_us, action):
+        self.scheduled.append((fire_us, action))
+
+    def submit(self, sender, call, now_us):
+        self.submitted.append((self.clock_us, sender, call, now_us))
+
+    def fire(self):
+        """Run every scheduled action, and any it schedules, in (fire time,
+        schedule order) as the kernel does."""
+        while self.scheduled:
+            self.scheduled.sort(key=lambda entry: entry[0])  # stable within an instant
+            self.clock_us, action = self.scheduled.pop(0)
+            action()
+
+
+REACTION_US = to_micro(0.1)
+ENDPOINT = OverlayEndpoint(ip="10.0.0.1", udp_port=4789, vni=100)
+
+
+def provider_agent(recorder, profile=None) -> ProviderAgent:
+    return ProviderAgent(profile or provider(), recorder.schedule, recorder.submit, ctx(),
+                         random.Random(0), REACTION_US)
+
+
+def consumer_agent(recorder, ann_id=4) -> ConsumerAgent:
+    agent = ConsumerAgent(consumer(), recorder.schedule, recorder.submit, ENDPOINT,
+                          SlaTerms.from_floats(0.99, 50.0, 2.0), to_micro(10.0),
+                          min_offers=2, reaction_us=REACTION_US)
+    agent.handle(ServiceAnnounced(ann_id, agent.profile.requirements), 0)
+    return agent
+
+
+class TestAgentsWithFakes:
+    def test_consumer_chooses_once_at_the_min_offers_bid(self):
+        recorder = Recorder()
+        agent = consumer_agent(recorder)
+        t = to_micro(10.0)
+        for count in (1, 2, 3):
+            agent.handle(BidPlaced(ann_id=4, bid_count=count), t + count)
+        assert [fire_us for fire_us, _ in recorder.scheduled] == [t + 2 + REACTION_US]
+        assert agent.second_bid_finalized_us == t + 2
+        recorder.fire()
+        assert recorder.submitted == [(t + 2 + REACTION_US, agent.profile.address,
+                                       ChooseProvider(ann_id=4), t + 2 + REACTION_US)]
+
+    def test_abstaining_provider_schedules_nothing(self):
+        recorder = Recorder()
+        agent = provider_agent(recorder, provider(abstain=True))
+        agent.handle(ServiceAnnounced(0, consumer().requirements), to_micro(5.0))
+        assert recorder.scheduled == []
+
+    def test_bidding_provider_submits_at_its_reaction_instant(self):
+        recorder = Recorder()
+        agent = provider_agent(recorder)
+        agent.handle(ServiceAnnounced(0, consumer().requirements), to_micro(5.0))
+        recorder.fire()
+        submit_us = to_micro(5.0) + REACTION_US
+        assert recorder.submitted == [(submit_us, agent.profile.address,
+                                       PlaceBid(0, to_micro(0.10)), submit_us)]
+
+    def test_two_wins_at_one_instant_queue_fifo(self):
+        recorder = Recorder()
+        agent = provider_agent(recorder)
+        t = to_micro(20.0)
+        for ann_id in (0, 1):
+            agent.handle(ProviderChosen(ann_id, agent.profile.address, ENDPOINT), t)
+        assert [fire_us for fire_us, _ in recorder.scheduled] == [t + REACTION_US] * 2
+        recorder.fire()
+        first, second = agent.queue.jobs
+        assert (first.ann_id, second.ann_id) == (0, 1)
+        assert first.started_us == t + REACTION_US
+        assert second.started_us == first.service_done_us
+        assert [(fire_us, sender, type(call), call.ann_id, now_us)
+                for fire_us, sender, call, now_us in recorder.submitted] == [
+            (job.confirm_submitted_us, agent.profile.address, ConfirmDeployment,
+             job.ann_id, job.confirm_submitted_us)
+            for job in (first, second)
+        ]
+
+    def test_confirmation_schedules_close_after_attach_time(self):
+        recorder = Recorder()
+        agent = consumer_agent(recorder)
+        t = to_micro(30.0)
+        agent.handle(DeploymentConfirmed(4, ENDPOINT), t)
+        established = t + agent.profile.attach_time_us
+        assert [fire_us for fire_us, _ in recorder.scheduled] == [established]
+        assert (agent.confirm_finalized_us, agent.established_us) == (t, established)
+        recorder.fire()
+        assert recorder.submitted == [(established, agent.profile.address,
+                                       CloseFederation(ann_id=4), established)]
+
+    def test_announce_submits_at_the_instant_it_is_given(self):
+        recorder = Recorder()
+        agent = consumer_agent(recorder)
+        agent.announce(to_micro(3.0))
+        [(_, sender, call, now_us)] = recorder.submitted
+        assert (sender, now_us, agent.announce_submitted_us) == \
+            (agent.profile.address, to_micro(3.0), to_micro(3.0))
+        assert call.consumer_endpoint == ENDPOINT and recorder.scheduled == []
 
 
 class TestSoaBaseline:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Ping:
-    KIND = "Ping"
+    pass
 
 
 def make_ledger(n_validators=3, algorithm=Algorithm.CLIQUE, **kw):

@@ -39,14 +39,14 @@ CASES = {
 }
 
 
-def outcome(modules, doc, tmp_path) -> tuple:
-    """Trace CSV bytes, every block digest and the event log of one run."""
+def outcome(modules, doc, run_index, path) -> tuple:
+    """One run of a scenario document, and its trace CSV bytes (written to
+    `path`), every block digest and the event log."""
     sim, led, con, met = modules
-    cfg = sim.parse_config({**doc, "runs": 1, "seed": 7}, scenario_id="oracle")
-    result = sim.run_once(cfg, 0)
-    path = tmp_path / f"{sim.__name__}.csv"
+    cfg = sim.parse_config(doc, scenario_id="oracle")
+    result = sim.run_once(cfg, run_index)
     met.write_csv(result.traces, path, cfg.scenario_id, cfg.variant, cfg.n_systems)
-    return (
+    return result, (
         path.read_bytes(),
         [led.block_digest(block) for block in result.blocks],
         con.event_log_lines(result.stamped_events),
@@ -55,8 +55,9 @@ def outcome(modules, doc, tmp_path) -> tuple:
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_run_matches_the_frozen_reference(case, tmp_path):
-    csv, digests, events = outcome(PROGRAM, CASES[case], tmp_path)
-    ref_csv, ref_digests, ref_events = outcome(REFERENCE, CASES[case], tmp_path)
+    doc = {**CASES[case], "runs": 1, "seed": 7}
+    csv, digests, events = outcome(PROGRAM, doc, 0, tmp_path / "program.csv")[1]
+    ref_csv, ref_digests, ref_events = outcome(REFERENCE, doc, 0, tmp_path / "reference.csv")[1]
     assert csv == ref_csv
     assert digests == ref_digests
     assert events == ref_events
