@@ -5,13 +5,22 @@ deterministic encoding: type-tagged, length-prefixed bytes with dataclass
 fields in declaration order and map entries sorted by encoded key. Floats are
 rejected on purpose; replicated state must be fixed-point.
 
-Encoders are built once per type, on first use, and looked up by the exact
-type of each value. A dataclass's encoder is generated code that reads each
-field once and joins the parts in one pass, with the type-name header
-computed when it is built; it is compiled as `encode_<class>` in a file named
-after the class, so profiles tell the encoders apart. A record declared with
-`fixed_bytes` (an `Address`) is encoded as one constant prefix and its bytes.
-The headers of int, bytes and dataclass parts short enough for any
+Each type has a writer that appends its encoding to a `bytearray` passed in.
+A digest makes one buffer, has the value write itself into it, and hashes
+that buffer, so it holds one copy of the encoding at most; `encode` returns
+the buffer as bytes. A record, list, tuple, set or map writes its 5-byte tag
+and length header with a zero length, appends its parts, then patches the
+length in place. Set members and map entries are sorted by their encodings,
+so each is written, then cut back out of the buffer; a set or map holds its
+members' encodings twice while it is written.
+
+Writers are built once per type, on first use, and looked up by the exact
+type of each value. A dataclass's writer is generated code that reads each
+field once and writes int and bytes fields in place, with the type-name
+header computed when it is built; it is compiled as `encode_<class>` in a
+file named after the class, so profiles tell the writers apart. A record
+declared with `fixed_bytes` (an `Address`) is written as one constant prefix
+and its bytes. The headers of int and bytes parts short enough for any
 per-transaction record are read from fixed tables built at import; a longer
 part's header is packed when it is met. No table grows, and nothing is
 memoized across digests.
@@ -23,6 +32,7 @@ import struct
 from enum import Enum
 
 _head = struct.Struct(">cI").pack  # tag byte, then the body length, big-endian
+_patch_length = struct.Struct(">I").pack_into  # (buffer, offset, length)
 
 
 def _lp(tag: bytes, body: bytes) -> bytes:
@@ -41,58 +51,122 @@ class _HeadTable(dict):
         return _head(self._tag, n)
 
 
-# Every 64-bit int has at most 20 decimal characters, an address has 20
-# bytes, and each per-transaction record's body is under 256 bytes.
+# Every 64-bit int has at most 20 decimal characters and an address has 20
+# bytes.
 _INT_HEADS = _HeadTable(b"i", 24)
 _BYTES_HEADS = _HeadTable(b"y", 40)
-_RECORD_HEADS = _HeadTable(b"d", 256)
 
 
-def _encode_map(obj) -> bytes:
-    pairs = sorted((encode(k), encode(v)) for k, v in obj.items())
-    return _lp(b"m", b"".join(k + v for k, v in pairs))
+def _write_none(obj, out):
+    out += b"n\0\0\0\0"
+
+
+def _write_bool(obj, out):
+    out += b"t\0\0\0\0" if obj else b"f\0\0\0\0"
+
+
+def _close(out, start: int) -> None:
+    """Write the length of the body that follows the header reserved at
+    `start`. That header was written with a zero length, so a body under 256
+    bytes, such as any per-transaction record's, sets its last byte only."""
+    n = len(out) - start - 5
+    if n < 256:
+        out[start + 4] = n
+    else:
+        _patch_length(out, start + 1, n)
+
+
+def _writer_of_body(tag: bytes, body_of):
+    def write(obj, out):
+        body = body_of(obj)
+        out += _head(tag, len(body))
+        out += body
+
+    return write
+
+
+def _write_sequence(obj, out):
+    start = len(out)
+    out += b"l\0\0\0\0"
+    for item in obj:
+        _ENCODERS[type(item)](item, out)
+    _close(out, start)
+
+
+def _write_set(obj, out):
+    start = len(out)
+    out += b"q\0\0\0\0"
+    at = start + 5
+    members = []
+    for item in obj:
+        _ENCODERS[type(item)](item, out)
+        members.append(out[at:])
+        del out[at:]
+    for member in sorted(members):
+        out += member
+    _close(out, start)
+
+
+def _write_map(obj, out):
+    # An entry is its key's encoding and then its value's. No encoding is a
+    # proper prefix of another (its header gives its length), so entries
+    # sort as (key, value) pairs do.
+    start = len(out)
+    out += b"m\0\0\0\0"
+    at = start + 5
+    entries = []
+    for k, v in obj.items():
+        _ENCODERS[type(k)](k, out)
+        _ENCODERS[type(v)](v, out)
+        entries.append(out[at:])
+        del out[at:]
+    for entry in sorted(entries):
+        out += entry
+    _close(out, start)
 
 
 def _compile(cls, body: list, namespace: dict):
-    """Compile one generated encoder under a function name and a file name
-    that name `cls`, so profiles and tracebacks tell the encoders apart."""
+    """Compile one generated writer under a function name and a file name
+    that name `cls`, so profiles and tracebacks tell the writers apart."""
     name = f"encode_{cls.__name__}"
-    source = "\n".join([f"def {name}(obj):", *body])
+    source = "\n".join([f"def {name}(obj, out):", *body])
     exec(compile(source, f"<canonical {cls.__module__}.{cls.__qualname__}>", "exec"), namespace)
     return namespace[name]
 
 
 def _dataclass_encoder(cls):
-    # Straight-line code per class that joins the encoding's parts once.
-    # Plain int and bytes fields, most of a transaction, are encoded in
-    # place; any other value goes through the table.
-    lines = []
-    parts = ["header"]
-    for i, field in enumerate(dataclasses.fields(cls)):
+    # Straight-line code per class that appends each field once. Plain int
+    # and bytes fields, most of a transaction, are written in place; any
+    # other value goes through the table. `_close` is inlined at the end,
+    # which saves a call per record.
+    lines = ["    start = len(out)", "    out += header"]
+    for field in dataclasses.fields(cls):
         lines += [
             f"    v = obj.{field.name}",
             "    t = type(v)",
             "    if t is int:",
-            f"        b{i} = b'%d' % v",
-            f"        h{i} = _INT_HEADS[len(b{i})]",
+            "        v = b'%d' % v",
+            "        out += _INT_HEADS[len(v)]",
+            "        out += v",
             "    elif t is bytes:",
-            f"        b{i} = v",
-            f"        h{i} = _BYTES_HEADS[len(v)]",
+            "        out += _BYTES_HEADS[len(v)]",
+            "        out += v",
             "    else:",
-            f"        b{i} = _ENCODERS[t](v)",
-            f"        h{i} = b''",
+            "        _ENCODERS[t](v, out)",
         ]
-        parts += [f"h{i}", f"b{i}"]
     lines += [
-        f"    body = b''.join(({', '.join(parts)},))",
-        "    return _RECORD_HEADS[len(body)] + body",
+        "    n = len(out) - start - 5",
+        "    if n < 256:",
+        "        out[start + 4] = n",
+        "    else:",
+        "        _patch_length(out, start + 1, n)",
     ]
     namespace = {
-        "header": _lp(b"s", cls.__name__.encode("utf-8")),
+        "header": b"d\0\0\0\0" + _lp(b"s", cls.__name__.encode("utf-8")),
         "_INT_HEADS": _INT_HEADS,
         "_BYTES_HEADS": _BYTES_HEADS,
-        "_RECORD_HEADS": _RECORD_HEADS,
         "_ENCODERS": _ENCODERS,
+        "_patch_length": _patch_length,
     }
     return _compile(cls, lines, namespace)
 
@@ -100,14 +174,16 @@ def _dataclass_encoder(cls):
 def fixed_bytes(size: int):
     """Class decorator for a dataclass whose one field holds `size` bytes in
     every instance, as its constructor guarantees. Its encoding, the same
-    bytes the generated encoder gives, is then one constant prefix (the
+    bytes the generated writer gives, is then one constant prefix (the
     record header, the type name and the bytes header) and those bytes."""
 
     def register(cls):
         (field,) = dataclasses.fields(cls)
         head = _lp(b"s", cls.__name__.encode("utf-8")) + _head(b"y", size)
         prefix = _head(b"d", len(head) + size) + head
-        _ENCODERS[cls] = _compile(cls, [f"    return prefix + obj.{field.name}"], {"prefix": prefix})
+        _ENCODERS[cls] = _compile(
+            cls, ["    out += prefix", f"    out += obj.{field.name}"], {"prefix": prefix}
+        )
         return cls
 
     return register
@@ -115,32 +191,32 @@ def fixed_bytes(size: int):
 
 def _encoder_for(cls):
     if cls is type(None):
-        return lambda obj: _lp(b"n", b"")
+        return _write_none
     if cls is bool:
-        return lambda obj: _lp(b"t" if obj else b"f", b"")
+        return _write_bool
     if issubclass(cls, int):
-        return lambda obj: _lp(b"i", str(obj).encode("ascii"))
+        return _writer_of_body(b"i", lambda obj: str(obj).encode("ascii"))
     if issubclass(cls, float):
         raise TypeError("floats are not canonical; use integer micro units")
     if issubclass(cls, str):
-        return lambda obj: _lp(b"s", obj.encode("utf-8"))
+        return _writer_of_body(b"s", str.encode)
     if issubclass(cls, (bytes, bytearray)):
-        return lambda obj: _lp(b"y", bytes(obj))
+        return _writer_of_body(b"y", bytes)
     if issubclass(cls, Enum):
-        return lambda obj: _lp(b"e", f"{cls.__name__}.{obj.name}".encode("utf-8"))
+        return _writer_of_body(b"e", lambda obj: f"{cls.__name__}.{obj.name}".encode("utf-8"))
     if dataclasses.is_dataclass(cls) and not issubclass(cls, type):
         return _dataclass_encoder(cls)
     if issubclass(cls, (list, tuple)):
-        return lambda obj: _lp(b"l", b"".join([_ENCODERS[type(item)](item) for item in obj]))
+        return _write_sequence
     if issubclass(cls, (set, frozenset)):
-        return lambda obj: _lp(b"q", b"".join(sorted(encode(item) for item in obj)))
+        return _write_set
     if issubclass(cls, dict):
-        return _encode_map
+        return _write_map
     raise TypeError(f"no canonical encoding for {cls.__name__}")
 
 
 class _EncoderTable(dict):
-    """Type → encoder, building each encoder on the first lookup of its type."""
+    """Type → writer, building each writer on the first lookup of its type."""
 
     def __missing__(self, cls):
         encoder = self[cls] = _encoder_for(cls)
@@ -150,10 +226,17 @@ class _EncoderTable(dict):
 _ENCODERS = _EncoderTable()
 
 
+def _written(obj) -> bytearray:
+    out = bytearray()
+    _ENCODERS[type(obj)](obj, out)
+    return out
+
+
 def encode(obj) -> bytes:
-    return _ENCODERS[type(obj)](obj)
+    return bytes(_written(obj))
 
 
 def digest(obj) -> str:
-    """Hex SHA-256 of the canonical encoding."""
-    return hashlib.sha256(encode(obj)).hexdigest()
+    """Hex SHA-256 of the canonical encoding, hashed from the one buffer it
+    was written into."""
+    return hashlib.sha256(_written(obj)).hexdigest()

@@ -263,6 +263,11 @@ class ScenarioConfig:
             raise ConfigInvalid("sweep.variants must not be empty")
         if any(n < 2 for n in self.sweep_n):
             raise ConfigInvalid("sweep.n_systems must each be at least 2")
+        # A repeat would run its cell again over the same output files.
+        if len(set(self.sweep_n)) < len(self.sweep_n):
+            raise ConfigInvalid("sweep.n_systems must not repeat a value")
+        if len(set(self.sweep_variants)) < len(self.sweep_variants):
+            raise ConfigInvalid("sweep.variants must not repeat a value")
         if not isinstance(self.output_dir, (str, type(None))):
             raise ConfigInvalid("output.dir must be a string")
 

@@ -62,6 +62,9 @@ def test_drawn_run_matches_the_reference_and_keeps_its_invariants(tmp_path_facto
             assert min(segments) >= 0
             assert sum(segments) == total == trace.close_finalized_us - trace.announce_submitted_us
 
+    # Honest agents never submit a call the contract rejects.
+    assert result.contract.rejected == []
+
     genesis_total = sum(micro for _, micro in result.genesis.balances)
     assert result.contract.total_funds_micro() == genesis_total
 
