@@ -78,7 +78,6 @@ class PricingContext:
 @dataclass(frozen=True)
 class ProviderProfile:
     address: Address
-    country: str
     base_tariff_micro: int
     deploy_model: DeploymentModel
     abstain: bool = False
@@ -225,13 +224,14 @@ class ConsumerAgent:
 
 
 def soa_federate(consumer: ConsumerProfile, providers, rtt_us: int,
-                 ctx: PricingContext, rng_for_provider) -> FederationTrace:
+                 ctx: PricingContext, rng_for_provider, run: int, ann_id: int) -> FederationTrace:
     """Direct request/response federation with pre-trusted peers.
 
     One parallel price-query round trip, a deployment request round trip, the
     provider's service time, an HTTP confirmation round trip, then consumer
     attach. Requests are served concurrently, so totals do not depend on how
-    many consumers federate at once.
+    many consumers federate at once. The trace is filed under `run` and
+    `ann_id`, the consumer's index, since no announcement is made.
     """
     if not providers:
         raise ProviderUnavailable("no registered providers to query")
@@ -246,8 +246,8 @@ def soa_federate(consumer: ConsumerProfile, providers, rtt_us: int,
     confirmed = deploy_done + rtt_us
     established = confirmed + consumer.attach_time_us
     return FederationTrace(
-        run=0,
-        ann_id=None,
+        run=run,
+        ann_id=ann_id,
         consumer=consumer.address.hex,
         winner=winner.address.hex,
         announce_submitted_us=0,

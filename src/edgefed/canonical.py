@@ -24,11 +24,16 @@ and its bytes. The headers of int and bytes parts short enough for any
 per-transaction record are read from fixed tables built at import; a longer
 part's header is packed when it is met. No table grows, and nothing is
 memoized across digests.
+
+`slot_init` gives the per-transaction records a generated constructor too:
+it fills each slot directly instead of calling `object.__setattr__` per
+field, and is compiled in the same way as the writers.
 """
 
 import dataclasses
 import hashlib
 import struct
+import types
 from enum import Enum
 
 _head = struct.Struct(">cI").pack  # tag byte, then the body length, big-endian
@@ -125,13 +130,44 @@ def _write_map(obj, out):
     _close(out, start)
 
 
-def _compile(cls, body: list, namespace: dict):
-    """Compile one generated writer under a function name and a file name
-    that name `cls`, so profiles and tracebacks tell the writers apart."""
-    name = f"encode_{cls.__name__}"
-    source = "\n".join([f"def {name}(obj, out):", *body])
+def _compile(cls, name: str, params: str, body: list, namespace: dict):
+    """Compile one generated function `name(params)` in a file named after
+    `cls`, so profiles and tracebacks tell the generated functions apart."""
+    source = "\n".join([f"def {name}({params}):", *body])
     exec(compile(source, f"<canonical {cls.__module__}.{cls.__qualname__}>", "exec"), namespace)
     return namespace[name]
+
+
+def slot_init(cls):
+    """Class decorator for a frozen slotted dataclass: its `__init__` becomes
+    generated code that stores each argument through its field's slot (the
+    member descriptor's `__set__`), in field order, with the same positional
+    or keyword parameters. The dataclass's own `__init__` goes through
+    `object.__setattr__` once per field, since the class's `__setattr__`
+    raises, which costs several times as much. Only the constructor changes:
+    assignment still raises `FrozenInstanceError`, and equality, hashing,
+    `repr`, `fields()` and `replace()` are the dataclass's. A default or a
+    `__post_init__` needs the dataclass's `__init__`, so such a class is
+    refused, as is one that is not a frozen dataclass with slots."""
+    if not (dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen):
+        raise TypeError(f"slot_init needs a frozen dataclass, not {cls.__qualname__}")
+    if hasattr(cls, "__post_init__"):
+        raise TypeError(f"{cls.__qualname__} has a __post_init__, which slot_init would skip")
+    names, setters = [], {}
+    for field in dataclasses.fields(cls):
+        if (field.default is not dataclasses.MISSING
+                or field.default_factory is not dataclasses.MISSING):
+            raise TypeError(f"{cls.__qualname__}.{field.name} has a default")
+        slot = getattr(cls, field.name, None)
+        if not isinstance(slot, types.MemberDescriptorType):
+            raise TypeError(f"{cls.__qualname__}.{field.name} is not a slot")
+        names.append(field.name)
+        setters[f"_set_{field.name}"] = slot.__set__
+    body = [f"    _set_{name}(self, {name})" for name in names]
+    init = _compile(cls, "__init__", ", ".join(["self", *names]), body, setters)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
 
 
 def _dataclass_encoder(cls):
@@ -168,7 +204,7 @@ def _dataclass_encoder(cls):
         "_ENCODERS": _ENCODERS,
         "_patch_length": _patch_length,
     }
-    return _compile(cls, lines, namespace)
+    return _compile(cls, f"encode_{cls.__name__}", "obj, out", lines, namespace)
 
 
 def fixed_bytes(size: int):
@@ -181,9 +217,9 @@ def fixed_bytes(size: int):
         (field,) = dataclasses.fields(cls)
         head = _lp(b"s", cls.__name__.encode("utf-8")) + _head(b"y", size)
         prefix = _head(b"d", len(head) + size) + head
-        _ENCODERS[cls] = _compile(
-            cls, ["    out += prefix", f"    out += obj.{field.name}"], {"prefix": prefix}
-        )
+        _ENCODERS[cls] = _compile(cls, f"encode_{cls.__name__}", "obj, out",
+                                  ["    out += prefix", f"    out += obj.{field.name}"],
+                                  {"prefix": prefix})
         return cls
 
     return register

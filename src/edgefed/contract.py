@@ -96,7 +96,11 @@ class SlaTerms:
 
 # -- calls -------------------------------------------------------------------
 
+# Each transaction carries a call and yields an event, so both kinds of
+# record are slotted and built through their slots (`canonical.slot_init`).
 
+
+@canonical.slot_init
 @dataclass(frozen=True, slots=True)
 class AnnounceService:
     requirements: ServiceRequirements
@@ -105,23 +109,27 @@ class AnnounceService:
     deposit_micro: int
 
 
+@canonical.slot_init
 @dataclass(frozen=True, slots=True)
 class PlaceBid:
     ann_id: int
     price_micro: int
 
 
+@canonical.slot_init
 @dataclass(frozen=True, slots=True)
 class ChooseProvider:
     ann_id: int
 
 
+@canonical.slot_init
 @dataclass(frozen=True, slots=True)
 class ConfirmDeployment:
     ann_id: int
     provider_endpoint: OverlayEndpoint
 
 
+@canonical.slot_init
 @dataclass(frozen=True, slots=True)
 class CloseFederation:
     ann_id: int
@@ -130,6 +138,7 @@ class CloseFederation:
 # -- events ------------------------------------------------------------------
 
 
+@canonical.slot_init
 @dataclass(frozen=True, slots=True)
 class ServiceAnnounced:
     """Carries the announcement id and requirements only (data minimization)."""
@@ -138,12 +147,14 @@ class ServiceAnnounced:
     requirements: ServiceRequirements
 
 
+@canonical.slot_init
 @dataclass(frozen=True, slots=True)
 class BidPlaced:
     ann_id: int
     bid_count: int
 
 
+@canonical.slot_init
 @dataclass(frozen=True, slots=True)
 class ProviderChosen:
     """Releases the consumer endpoint to the winner at selection time."""
@@ -153,12 +164,14 @@ class ProviderChosen:
     consumer_endpoint: OverlayEndpoint
 
 
+@canonical.slot_init
 @dataclass(frozen=True, slots=True)
 class DeploymentConfirmed:
     ann_id: int
     provider_endpoint: OverlayEndpoint
 
 
+@canonical.slot_init
 @dataclass(frozen=True, slots=True)
 class FederationClosed:
     ann_id: int

@@ -6,7 +6,8 @@ networking or signature checking: identity is asserted, and the whole chain is
 deterministic given the sequence of submissions.
 
 A run makes one transaction per bid, so `Address` and `Transaction` are
-slotted dataclasses: each is one allocation with no instance `__dict__`.
+slotted dataclasses: each is one allocation with no instance `__dict__`, and
+a `Transaction` is built through its slots (`canonical.slot_init`).
 Nonces are kept per sender by the sender's bytes, which hash without a
 Python-level `__hash__` call.
 """
@@ -105,6 +106,7 @@ def finality_delay_us(cfg: ConsensusConfig) -> int:
     return 3 * cfg.message_delay_us + cfg.validation_cost_us * rounds
 
 
+@canonical.slot_init
 @dataclass(frozen=True, slots=True)
 class Transaction:
     id: int

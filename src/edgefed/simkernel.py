@@ -24,6 +24,10 @@ Agents see nothing of the kernel but its bound `schedule` and nothing of the
 ledger but its bound `submit`, both passed in when a run builds them. Each
 submission is scheduled to fire at its own submit instant and carries that
 instant, so no agent reads the clock.
+
+Every run of one config starts from the same immutable `Cell`: the
+participants, their profiles, the contract genesis and the consensus config.
+`run_scenario` builds it once for all its runs.
 """
 
 import gc
@@ -440,24 +444,22 @@ def build_participants(cfg: ScenarioConfig) -> Participants:
 
 def build_profiles(cfg: ScenarioConfig, participants: Participants):
     a = cfg.agents
-    consumer_profiles = [
+    consumer_profiles = tuple(
         ConsumerProfile(
             address=addr,
             requirements=ServiceRequirements(app_id=f"app-c{i}", replicas=1, bandwidth_mbps=100),
             attach_time_us=a.attach_time_us,
         )
         for i, addr in enumerate(participants.consumers)
-    ]
-    countries = ("es", "de", "fr", "it", "pt", "nl")
-    provider_profiles = [
+    )
+    provider_profiles = tuple(
         ProviderProfile(
             address=addr,
-            country=countries[j % len(countries)],
             base_tariff_micro=a.tariffs_micro[j % len(a.tariffs_micro)],
             deploy_model=a.deploy_model,
         )
         for j, addr in enumerate(participants.providers)
-    ]
+    )
     return consumer_profiles, provider_profiles
 
 
@@ -487,6 +489,29 @@ def build_consensus(cfg: ScenarioConfig, participants: Participants) -> Consensu
     )
 
 
+@dataclass(frozen=True)
+class Cell:
+    """What every run of one config shares, built once by `build_cell`: the
+    participants, their profiles and, for a chain variant, the contract
+    genesis and the consensus config. All of it is immutable; each run makes
+    its own seeded streams, ledger, contract, kernel and agents from it."""
+
+    participants: Participants
+    consumer_profiles: tuple
+    provider_profiles: tuple
+    genesis: ContractGenesis | None = None  # None for soa
+    consensus: ConsensusConfig | None = None  # None for soa
+
+
+def build_cell(cfg: ScenarioConfig) -> Cell:
+    participants = build_participants(cfg)
+    consumer_profiles, provider_profiles = build_profiles(cfg, participants)
+    if cfg.variant == "soa":
+        return Cell(participants, consumer_profiles, provider_profiles)
+    return Cell(participants, consumer_profiles, provider_profiles,
+                build_genesis(cfg, participants), build_consensus(cfg, participants))
+
+
 # -- run execution -----------------------------------------------------------------
 
 
@@ -508,13 +533,11 @@ class RunResult:
 
 
 class _ChainRun:
-    def __init__(self, cfg: ScenarioConfig, run_index: int):
+    def __init__(self, cfg: ScenarioConfig, run_index: int, cell: Cell):
         self.cfg = cfg
         self.run_index = run_index
-        self.participants = build_participants(cfg)
-        self.consumer_profiles, self.provider_profiles = build_profiles(cfg, self.participants)
-        self.genesis = build_genesis(cfg, self.participants)
-        self.ledger = Ledger(build_consensus(cfg, self.participants))
+        self.genesis = cell.genesis
+        self.ledger = Ledger(cell.consensus)
         self.contract = FederationContract(self.genesis)
         self.kernel = EventQueue()
         self.published = []
@@ -526,7 +549,7 @@ class _ChainRun:
         abstain_prob = cfg.agents.abstain_probability
 
         self.providers = []
-        for rank, profile in enumerate(self.provider_profiles):
+        for rank, profile in enumerate(cell.provider_profiles):
             if abstain_prob > 0:
                 draw = rngs.stream(f"abstain/run{run_index}/provider{rank}").random()
                 profile = replace(profile, abstain=draw < abstain_prob)
@@ -551,7 +574,7 @@ class _ChainRun:
                 min_offers=self.genesis.min_offers,
                 reaction_us=cfg.agents.reaction_delay_us,
             )
-            for i, profile in enumerate(self.consumer_profiles)
+            for i, profile in enumerate(cell.consumer_profiles)
         ]
         # Routing table for _deliver; _consumer_by_ann fills as announcements
         # finalize.
@@ -568,10 +591,12 @@ class _ChainRun:
             self.kernel.schedule(0, partial(consumer.announce, 0))
         self.kernel.schedule(self.ledger.next_block_time_us(), self._on_block_time)
 
-        # The cyclic collector is paused for the event loop and left as the
-        # caller had it. A run allocates transactions, bids, events and
-        # scheduled actions that all live until it ends, so every collection
-        # inside it would scan them and free nothing. gc.freeze() would not
+        # The cyclic collector is paused for the event loop and for building
+        # the result, then left as the caller had it. A run allocates
+        # transactions, bids, events and scheduled actions that all live
+        # until it ends, so every collection inside it would scan them and
+        # free nothing, and so would the first ones after it if the traces
+        # were built once the collector was back on. gc.freeze() would not
         # do: it exempts only what exists when it is called, not what the
         # run allocates after, and gc.unfreeze() cannot tell the run's
         # frozen objects from any the caller had frozen itself.
@@ -581,19 +606,18 @@ class _ChainRun:
         try:
             while (fire_us := peek_time()) is not None and fire_us <= cfg.timeout_us:
                 step()
+            return RunResult(
+                run_index=self.run_index,
+                traces=self._traces(),
+                blocks=tuple(self.ledger.chain),
+                genesis=self.genesis,
+                contract=self.contract,
+                ledger=self.ledger,
+                published=self.published,
+            )
         finally:
             if collecting:
                 gc.enable()
-
-        return RunResult(
-            run_index=self.run_index,
-            traces=self._traces(),
-            blocks=tuple(self.ledger.chain),
-            genesis=self.genesis,
-            contract=self.contract,
-            ledger=self.ledger,
-            published=self.published,
-        )
 
     def _on_block_time(self):
         now = self.kernel.now_us
@@ -673,38 +697,36 @@ class _ChainRun:
         return traces
 
 
-def _run_soa(cfg: ScenarioConfig, run_index: int) -> RunResult:
-    participants = build_participants(cfg)
-    consumer_profiles, provider_profiles = build_profiles(cfg, participants)
+def _run_soa(cfg: ScenarioConfig, run_index: int, cell: Cell) -> RunResult:
     rngs = SeededRng(cfg.seed)
     ctx = cfg.agents.pricing
     streams = {
         profile.address: rngs.stream(f"pricing/run{run_index}/provider{rank}")
-        for rank, profile in enumerate(provider_profiles)
+        for rank, profile in enumerate(cell.provider_profiles)
     }
-    traces = []
-    for i, consumer in enumerate(consumer_profiles):
-        trace = soa_federate(
-            consumer,
-            provider_profiles,
-            cfg.agents.rtt_us,
-            ctx,
-            rng_for_provider=lambda p: streams[p.address],
-        )
-        traces.append(replace(trace, run=run_index, ann_id=i))
+    traces = [
+        soa_federate(consumer, cell.provider_profiles, cfg.agents.rtt_us, ctx,
+                     lambda p: streams[p.address], run_index, i)
+        for i, consumer in enumerate(cell.consumer_profiles)
+    ]
     return RunResult(run_index=run_index, traces=traces)
 
 
-def run_once(cfg: ScenarioConfig, run_index: int) -> RunResult:
-    """One isolated run: fresh ledger and contract genesis, one trace per consumer."""
+def run_once(cfg: ScenarioConfig, run_index: int, cell: Cell | None = None) -> RunResult:
+    """One isolated run: fresh ledger and contract genesis, one trace per
+    consumer. `cell` is `build_cell(cfg)`, built here when not given."""
+    if cell is None:
+        cell = build_cell(cfg)
     if cfg.variant == "soa":
-        return _run_soa(cfg, run_index)
-    return _ChainRun(cfg, run_index).execute()
+        return _run_soa(cfg, run_index, cell)
+    return _ChainRun(cfg, run_index, cell).execute()
 
 
 def run_scenario(cfg: ScenarioConfig) -> list:
-    """Execute cfg.runs consecutive runs; traces in (run, announcement) order."""
+    """Execute cfg.runs consecutive runs of one cell, built once; traces in
+    (run, announcement) order."""
+    cell = build_cell(cfg)
     traces = []
     for run_index in range(cfg.runs):
-        traces.extend(run_once(cfg, run_index).traces)
+        traces.extend(run_once(cfg, run_index, cell).traces)
     return traces

@@ -41,7 +41,6 @@ FLAT_CURVE = tuple([1.0] * 24)
 def provider(tag="p", tariff=0.10, model=None, abstain=False) -> ProviderProfile:
     return ProviderProfile(
         address=addr(tag),
-        country="es",
         base_tariff_micro=to_micro(tariff),
         deploy_model=model or DeploymentModel(),
         abstain=abstain,
@@ -96,7 +95,7 @@ class TestPricing:
     @settings(max_examples=150, deadline=None)
     def test_price_positivity_property(self, tariff, factor, jitter, seed):
         profile = ProviderProfile(
-            address=addr("p"), country="es", base_tariff_micro=tariff,
+            address=addr("p"), base_tariff_micro=tariff,
             deploy_model=DeploymentModel(),
         )
         curve = (factor,) + FLAT_CURVE[1:]
@@ -303,14 +302,15 @@ class TestSoaBaseline:
     def test_component_sum(self):
         trace = soa_federate(
             consumer(), [provider()], rtt_us=to_micro(0.05), ctx=ctx(),
-            rng_for_provider=lambda p: random.Random(0),
+            rng_for_provider=lambda p: random.Random(0), run=0, ann_id=0,
         )
         parts = decompose(trace)
         assert parts.total_us == to_micro(0.05 + 0.05 + 2.0 + 0.05 + 0.5)
 
     def test_no_providers_is_an_error(self):
         with pytest.raises(ProviderUnavailable):
-            soa_federate(consumer(), [], rtt_us=1, ctx=ctx(), rng_for_provider=None)
+            soa_federate(consumer(), [], rtt_us=1, ctx=ctx(), rng_for_provider=None,
+                         run=0, ann_id=0)
 
     def test_zero_jitter_selection_matches_blockchain_winner(self):
         # Same tariffs, no jitter: the lowest-price provider must win on both

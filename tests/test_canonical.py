@@ -1,6 +1,6 @@
 import hashlib
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, field, fields, replace
 from enum import Enum, IntEnum
 
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgefed import canonical
-from edgefed.contract import PlaceBid
+from edgefed.contract import FederationContract, PlaceBid
 from edgefed.ledger import Address, Block, Transaction, block_digest
 from edgefed.simkernel import run_once
 from perfbench.reference_edgefed import canonical as reference
@@ -197,6 +197,126 @@ def test_generated_encoders_are_named_after_their_class():
     assert [code.co_filename for code in codes] == [
         f"<canonical {cls.__module__}.{cls.__qualname__}>" for cls in classes
     ]
+
+
+def _record_class(built_through_slots: bool):
+    # Two classes of one name: slot_init's and the dataclass's constructor.
+    @dataclass(frozen=True, slots=True)
+    class Record:
+        n: int
+        name: str
+        inner: Inner
+
+    return canonical.slot_init(Record) if built_through_slots else Record
+
+
+Slotted, Twin = _record_class(True), _record_class(False)
+
+
+class TestSlotInit:
+    def test_the_constructor_is_generated_and_named_after_its_class(self):
+        code = Slotted.__init__.__code__
+        assert code.co_name == "__init__"
+        assert code.co_filename == f"<canonical {__name__}.{Slotted.__qualname__}>"
+        assert Twin.__init__.__code__.co_filename != code.co_filename
+
+    def test_assignment_after_construction_raises(self):
+        record = Slotted(1, "a", Inner("x", 2))
+        with pytest.raises(FrozenInstanceError):
+            record.n = 2
+        assert record.n == 1
+
+    def test_positional_and_keyword_construction_agree(self):
+        inner = Inner("x", 2)
+        record = Slotted(1, "a", inner)
+        assert (record.n, record.name, record.inner) == (1, "a", inner)
+        assert Slotted(n=1, name="a", inner=inner) == record
+        assert Slotted(1, inner=inner, name="a") == record
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((1, "a"), {}),
+        ((1,), {"inner": None}),
+        ((1, "a", None, 4), {}),
+        ((1, "a", None), {"extra": 4}),
+        ((1, "a", None), {"n": 1}),
+    ], ids=["missing", "missing_keyword", "extra", "extra_keyword", "repeated"])
+    def test_a_missing_or_extra_argument_raises_type_error(self, args, kwargs):
+        with pytest.raises(TypeError):
+            Slotted(*args, **kwargs)
+
+    def test_replace_builds_a_new_record(self):
+        record = Slotted(1, "a", Inner("x", 2))
+        changed = replace(record, name="b")
+        assert type(changed) is Slotted and changed == Slotted(1, "b", Inner("x", 2))
+        assert record.name == "a"
+
+    @pytest.mark.parametrize("values", [(1, "a", Inner("x", 2)), (-7, "héllo", Inner("", 0))])
+    def test_records_behave_as_their_dataclass_twin(self, values):
+        slotted, twin = Slotted(*values), Twin(*values)
+        assert slotted == Slotted(*values) and twin == Twin(*values)
+        assert slotted != Slotted(0, "", None) and twin != Twin(0, "", None)
+        assert hash(slotted) == hash(twin)
+        assert repr(slotted) == repr(twin)
+        assert [f.name for f in fields(slotted)] == [f.name for f in fields(twin)]
+        assert canonical.digest(slotted) == canonical.digest(twin)
+
+    def test_a_default_is_refused(self):
+        @dataclass(frozen=True, slots=True)
+        class Defaulted:
+            n: int
+            name: str = "a"
+
+        @dataclass(frozen=True, slots=True)
+        class Factory:
+            items: list = field(default_factory=list)
+
+        for cls in (Defaulted, Factory):
+            with pytest.raises(TypeError, match="has a default"):
+                canonical.slot_init(cls)
+
+    def test_a_post_init_is_refused(self):
+        @dataclass(frozen=True, slots=True)
+        class Checked:
+            n: int
+
+            def __post_init__(self):
+                raise ValueError
+
+        with pytest.raises(TypeError, match="__post_init__"):
+            canonical.slot_init(Checked)
+
+    def test_a_class_without_slots_is_refused(self):
+        @dataclass(frozen=True)
+        class Unslotted:
+            n: int
+
+        with pytest.raises(TypeError, match="not a slot"):
+            canonical.slot_init(Unslotted)
+
+    def test_a_mutable_dataclass_is_refused(self):
+        @dataclass(slots=True)
+        class Mutable:
+            n: int
+
+        with pytest.raises(TypeError, match="frozen dataclass"):
+            canonical.slot_init(Mutable)
+
+
+def test_per_transaction_records_are_built_through_their_slots():
+    # Every record a run makes once per transaction: calls, the events their
+    # handlers return, and the transaction. A record type added later must
+    # not fall back to the dataclass's per-field object.__setattr__.
+    events = set()
+    for variant in ("clique", "qbft"):
+        for _, published in run_once(scenario(n=10, variant=variant), 0).published:
+            events.update(type(event) for event in published)
+    records = {*FederationContract._HANDLERS, *events, Transaction}
+    assert len(records) == 11
+    for cls in records:
+        assert cls.__dataclass_params__.frozen and "__slots__" in cls.__dict__, cls
+        code = cls.__init__.__code__
+        assert (code.co_name, code.co_filename) == \
+            ("__init__", f"<canonical {cls.__module__}.{cls.__qualname__}>"), cls
 
 
 def test_address_prefix_encoding_matches_the_generated_one():

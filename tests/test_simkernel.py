@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgefed import simkernel
 from edgefed.agents import ConsumerAgent, ProviderAgent
 from edgefed.canonical import digest
 from edgefed.contract import BidPlaced, FederationClosed, FederationContract, ServiceAnnounced
@@ -23,6 +24,7 @@ from edgefed.simkernel import (
     SeededRng,
     TooFewSystems,
     _ChainRun,
+    build_cell,
     build_consensus,
     build_participants,
     generate_topology,
@@ -252,6 +254,51 @@ class TestRunScenario:
         assert submitted == set(FederationContract._HANDLERS)
 
 
+_BUILDERS = ("build_participants", "build_profiles", "build_genesis", "build_consensus")
+
+
+def count_builds(monkeypatch) -> dict:
+    """Calls to each cell builder made from now on, by name."""
+    counts = dict.fromkeys(_BUILDERS, 0)
+    for name in _BUILDERS:
+        def counting(*args, _name=name, _original=getattr(simkernel, name)):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(simkernel, name, counting)
+    return counts
+
+
+class TestCell:
+    """A cell, what every run of one config shares, is built once per
+    run_scenario; each run still makes its own streams, ledger and agents."""
+
+    @pytest.mark.parametrize("variant, builders", [
+        ("clique", _BUILDERS),
+        ("qbft", _BUILDERS),
+        ("soa", ("build_participants", "build_profiles")),
+    ])
+    def test_run_scenario_builds_its_cell_once(self, monkeypatch, variant, builders):
+        counts = count_builds(monkeypatch)
+        traces = run_scenario(scenario(n=10, variant=variant, runs=5))
+        assert len(traces) == 5 * 8
+        assert counts == {name: int(name in builders) for name in _BUILDERS}
+
+    @pytest.mark.parametrize("variant", ["clique", "qbft", "soa"])
+    def test_a_shared_cell_gives_the_runs_a_fresh_one_gives(self, variant):
+        # Abstention is drawn per run, from the cell's shared profiles.
+        cfg = scenario(n=10, variant=variant, runs=3)
+        cfg = replace(cfg, agents=replace(cfg.agents, abstain_probability=0.3))
+        cell = build_cell(cfg)
+        for run_index in range(cfg.runs):
+            shared, fresh = run_once(cfg, run_index, cell), run_once(cfg, run_index)
+            assert shared.traces == fresh.traces
+            assert shared.blocks == fresh.blocks
+            assert digest(shared.blocks) == digest(fresh.blocks)
+            if variant != "soa":
+                assert shared.contract.state_digest() == fresh.contract.state_digest()
+
+
 @pytest.fixture
 def restore_collector():
     """Puts the cyclic collector back as it was, whatever the test left."""
@@ -277,6 +324,26 @@ def spy_on_blocks(monkeypatch, fail: bool = False) -> list:
 
 class TestCollector:
     """A run pauses the cyclic collector and leaves it as its caller had it."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["entered_enabled", "entered_disabled"])
+    def test_the_result_is_built_before_the_collector_resumes(
+            self, monkeypatch, restore_collector, enabled):
+        seen = []
+
+        def traces(self, _original=_ChainRun._traces):
+            seen.append(("traces", gc.isenabled()))
+            return _original(self)
+
+        def result(_original=simkernel.RunResult, **kwargs):
+            seen.append(("result", gc.isenabled()))
+            return _original(**kwargs)
+
+        monkeypatch.setattr(_ChainRun, "_traces", traces)
+        monkeypatch.setattr(simkernel, "RunResult", result)
+        (gc.enable if enabled else gc.disable)()
+        assert run_once(scenario(n=10), 0).traces[0].complete
+        assert gc.isenabled() is enabled
+        assert seen == [("traces", False), ("result", False)]
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["entered_enabled", "entered_disabled"])
     def test_run_once_leaves_the_collector_as_it_found_it(
@@ -312,7 +379,8 @@ def record_handle_calls(monkeypatch) -> list:
 class TestRoutedDelivery:
     def test_events_reach_only_the_agents_they_concern(self, monkeypatch):
         calls = record_handle_calls(monkeypatch)
-        run = _ChainRun(scenario(n=10), 0)
+        cfg = scenario(n=10)
+        run = _ChainRun(cfg, 0, build_cell(cfg))
         owner = run.consumers[3]
         announced = ServiceAnnounced(ann_id=5, requirements=owner.profile.requirements)
         run._deliver(0, [announced])
