@@ -171,7 +171,9 @@ class ProviderAgent:
 class ConsumerAgent:
     """Announces a service extension, then drives selection, attach and close.
 
-    `handle` receives only the events of this consumer's own federation.
+    `handle` receives only the events of this consumer's own federation that
+    it acts on: its announcement, its bids and its deployment confirmation.
+    It keeps only what it acts on; the timeline is read off the chain.
     """
 
     def __init__(self, profile: ConsumerProfile, schedule, submit, endpoint: OverlayEndpoint,
@@ -185,16 +187,9 @@ class ConsumerAgent:
         self.min_offers = min_offers
         self.reaction_us = reaction_us
         self.ann_id: int | None = None
-        self.winner: Address | None = None
-        self.announce_submitted_us: int | None = None
-        self.announce_finalized_us: int | None = None
-        self.second_bid_finalized_us: int | None = None  # set once: selection is issued
-        self.winner_finalized_us: int | None = None
-        self.confirm_finalized_us: int | None = None
-        self.established_us: int | None = None
+        self.selection_issued = False
 
     def announce(self, now_us: int) -> None:
-        self.announce_submitted_us = now_us
         announcement = AnnounceService(
             requirements=self.profile.requirements,
             consumer_endpoint=self.endpoint,
@@ -205,20 +200,15 @@ class ConsumerAgent:
 
     def handle(self, event, observed_us: int) -> None:
         if isinstance(event, BidPlaced):  # most events: one per bid
-            if self.second_bid_finalized_us is None and event.bid_count >= self.min_offers:
-                self.second_bid_finalized_us = observed_us
+            if not self.selection_issued and event.bid_count >= self.min_offers:
+                self.selection_issued = True
                 choose_us = observed_us + self.reaction_us
                 self.schedule(choose_us, partial(self.submit, self.profile.address,
                                                  ChooseProvider(ann_id=self.ann_id), choose_us))
         elif isinstance(event, ServiceAnnounced):
             self.ann_id = event.ann_id
-            self.announce_finalized_us = observed_us
-        elif isinstance(event, ProviderChosen):
-            self.winner = event.winner
-            self.winner_finalized_us = observed_us
         elif isinstance(event, DeploymentConfirmed):
-            self.confirm_finalized_us = observed_us
-            established = self.established_us = observed_us + self.profile.attach_time_us
+            established = observed_us + self.profile.attach_time_us
             self.schedule(established, partial(self.submit, self.profile.address,
                                                CloseFederation(ann_id=self.ann_id), established))
 
@@ -248,10 +238,8 @@ def soa_federate(consumer: ConsumerProfile, providers, rtt_us: int,
     return FederationTrace(
         run=run,
         ann_id=ann_id,
-        consumer=consumer.address.hex,
         winner=winner.address.hex,
         announce_submitted_us=0,
-        announce_finalized_us=0,
         second_bid_finalized_us=query_done,
         winner_finalized_us=query_done,
         deployment_started_us=request_done,

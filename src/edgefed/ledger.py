@@ -211,14 +211,6 @@ class Ledger:
         self.chain.append(block)
         return block
 
-    def verify_chain(self) -> bool:
-        for prev, block in zip(self.chain, self.chain[1:]):
-            if block.height != prev.height + 1:
-                return False
-            if block.parent_digest != block_digest(prev):
-                return False
-        return True
-
     # -- events --------------------------------------------------------------
 
     def publish_events(self, block: Block, events) -> list[StampedEvent]:

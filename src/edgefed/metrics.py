@@ -67,15 +67,14 @@ class FederationTrace:
     close_finalized_us records the instant the federation is established from
     the consumer's side: overlay attach finished and the close transaction
     issued. The close transaction's own block is ledger bookkeeping and is not
-    part of the measured span.
+    part of the measured span. A step the chain does not show final by the
+    run's timeout is None.
     """
 
     run: int
     ann_id: int | None
-    consumer: str
     winner: str | None
     announce_submitted_us: int | None
-    announce_finalized_us: int | None
     second_bid_finalized_us: int | None
     winner_finalized_us: int | None
     deployment_started_us: int | None
@@ -94,16 +93,6 @@ class PhaseBreakdown:
     deployment_us: int
     confirmation_us: int
     total_us: int
-
-    def as_micro_dict(self) -> dict:
-        return {
-            "bidding": self.bidding_us,
-            "winner_selection": self.winner_selection_us,
-            "info_exchange": self.info_exchange_us,
-            "deployment": self.deployment_us,
-            "confirmation": self.confirmation_us,
-            "total": self.total_us,
-        }
 
 
 def _segments(trace: FederationTrace) -> tuple:

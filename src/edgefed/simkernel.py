@@ -14,11 +14,15 @@ with its height and finality only when `RunResult.stamped_events` is read.
 
 Finalized contract events reach agents through one per-run routing table,
 not by broadcast: an announcement goes to the consumer that made it and to
-every provider, and every later event of a federation goes only to its
-consumer and, for the selection, to the winner. Events no agent acts on go
+every provider, a bid or a deployment confirmation only to the federation's
+consumer, and the selection only to the winner. Events no agent acts on go
 to none. Recipients of one event are called consumers first, then providers,
 in list order, which is the order broadcast used; that order fixes the
 event queue's schedule sequence and so every output byte.
+
+Agents keep only what they act on. Each federation's trace is read off the
+run's chain once the run ends: every step is the finality of the block that
+records it, and a step not final by the timeout is None.
 
 Agents see nothing of the kernel but its bound `schedule` and nothing of the
 ledger but its bound `submit`, both passed in when a run builds them. Each
@@ -49,6 +53,7 @@ from .agents import (
     soa_federate,
 )
 from .contract import (
+    AnnounceService,
     BidPlaced,
     ContractGenesis,
     DeploymentConfirmed,
@@ -109,9 +114,6 @@ class EventQueue:
             heapq.heappush(self._instants, fire_us)
         bucket.append((seq, action))
         return seq
-
-    def empty(self) -> bool:
-        return not self._instants
 
     def peek_time(self) -> int | None:
         return self._instants[0] if self._instants else None
@@ -532,6 +534,11 @@ class RunResult:
                 for stamped in self.ledger.publish_events(block, events)]
 
 
+# The trace fields a chain gives a federation, none of them final yet.
+_UNSEEN = dict.fromkeys(("ann_id", "winner", "announce_submitted_us", "second_bid_finalized_us",
+                         "winner_finalized_us", "confirm_finalized_us", "close_finalized_us"))
+
+
 class _ChainRun:
     def __init__(self, cfg: ScenarioConfig, run_index: int, cell: Cell):
         self.cfg = cfg
@@ -648,9 +655,10 @@ class _ChainRun:
 
     def _recipients(self, event) -> list:
         """The agents that act on `event`, other than a bid, which `_deliver`
-        hands to its consumer itself: the event's consumer, then the
-        providers concerned. Announcements carry no sender, so their consumer
-        is found by app id, and the announcement id is bound to it here."""
+        hands to its consumer itself: an announcement's consumer and every
+        provider, a confirmation's consumer, or a selection's winner.
+        Announcements carry no sender, so their consumer is found by app id,
+        and the announcement id is bound to it here."""
         if isinstance(event, ServiceAnnounced):
             consumer = self._consumer_by_app[event.requirements.app_id]
             self._consumer_by_ann[event.ann_id] = consumer
@@ -658,43 +666,57 @@ class _ChainRun:
         if isinstance(event, DeploymentConfirmed):
             return [self._consumer_by_ann[event.ann_id]]
         if isinstance(event, ProviderChosen):
-            return [self._consumer_by_ann[event.ann_id], self._provider_by_address[event.winner]]
+            return [self._provider_by_address[event.winner]]
         return []
 
     def _start_next_consumer(self, finality_us: int):
+        # One federation is open at a time, so each close starts one consumer.
         if self._closed < len(self.consumers):
             nxt = self.consumers[self._closed]
-            if nxt.announce_submitted_us is None:
-                announce_us = finality_us + self.cfg.agents.reaction_delay_us
-                self.kernel.schedule(announce_us, partial(nxt.announce, announce_us))
+            announce_us = finality_us + self.cfg.agents.reaction_delay_us
+            self.kernel.schedule(announce_us, partial(nxt.announce, announce_us))
 
     def _traces(self) -> list:
-        jobs = {}
-        for provider in self.providers:
-            for job in provider.queue.jobs:
-                jobs[job.ann_id] = job
-        traces = []
-        for consumer in self.consumers:
-            job = jobs.get(consumer.ann_id) if consumer.ann_id is not None else None
-            deployment_started = job.started_us if job else None
-            complete = consumer.established_us is not None and deployment_started is not None
-            traces.append(
-                FederationTrace(
-                    run=self.run_index,
-                    ann_id=consumer.ann_id,
-                    consumer=consumer.profile.address.hex,
-                    winner=consumer.winner.hex if consumer.winner else None,
-                    announce_submitted_us=consumer.announce_submitted_us,
-                    announce_finalized_us=consumer.announce_finalized_us,
-                    second_bid_finalized_us=consumer.second_bid_finalized_us,
-                    winner_finalized_us=consumer.winner_finalized_us,
-                    deployment_started_us=deployment_started,
-                    confirm_finalized_us=consumer.confirm_finalized_us,
-                    close_finalized_us=consumer.established_us,
-                    complete=complete,
-                )
-            )
-        return traces
+        """One trace per consumer, in consumer order, read off the blocks
+        final by the timeout. Finality grows with height, so the pass ends at
+        the first block final after it: no agent saw that block or a later one."""
+        min_offers = self.genesis.min_offers
+        steps = {}  # ann_id -> the trace fields its final events give
+        for block, events in self.published:
+            final_us = block.finality_time_us
+            if final_us > self.cfg.timeout_us:
+                break
+            submitted = None  # app id -> submit instant of its announcement
+            for event in events:
+                kind = type(event)
+                if kind is BidPlaced:  # most events: one per bid
+                    # A count grows by at most one per bid, so the first to
+                    # reach min_offers equals it.
+                    if event.bid_count == min_offers:
+                        step = steps[event.ann_id]
+                        if step["second_bid_finalized_us"] is None:
+                            step["second_bid_finalized_us"] = final_us
+                elif kind is ServiceAnnounced:
+                    if submitted is None:
+                        submitted = {tx.payload.requirements.app_id: tx.submit_time_us
+                                     for tx in block.txs if type(tx.payload) is AnnounceService}
+                    steps[event.ann_id] = dict(
+                        _UNSEEN, ann_id=event.ann_id,
+                        announce_submitted_us=submitted[event.requirements.app_id])
+                elif kind is ProviderChosen:
+                    steps[event.ann_id].update(winner=event.winner.hex, winner_finalized_us=final_us)
+                elif kind is DeploymentConfirmed:  # its consumer closes once attached
+                    attach_us = self._consumer_by_ann[event.ann_id].profile.attach_time_us
+                    steps[event.ann_id].update(confirm_finalized_us=final_us,
+                                               close_finalized_us=final_us + attach_us)
+        by_consumer = {self._consumer_by_ann[ann_id]: step for ann_id, step in steps.items()}
+        started = {job.ann_id: job.started_us for p in self.providers for job in p.queue.jobs}
+        return [
+            FederationTrace(run=self.run_index, **step,
+                            deployment_started_us=started.get(step["ann_id"]),
+                            complete=step["confirm_finalized_us"] is not None)
+            for step in (by_consumer.get(consumer, _UNSEEN) for consumer in self.consumers)
+        ]
 
 
 def _run_soa(cfg: ScenarioConfig, run_index: int, cell: Cell) -> RunResult:

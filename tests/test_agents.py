@@ -237,7 +237,6 @@ class TestAgentsWithFakes:
         for count in (1, 2, 3):
             agent.handle(BidPlaced(ann_id=4, bid_count=count), t + count)
         assert [fire_us for fire_us, _ in recorder.scheduled] == [t + 2 + REACTION_US]
-        assert agent.second_bid_finalized_us == t + 2
         recorder.fire()
         assert recorder.submitted == [(t + 2 + REACTION_US, agent.profile.address,
                                        ChooseProvider(ann_id=4), t + 2 + REACTION_US)]
@@ -283,7 +282,6 @@ class TestAgentsWithFakes:
         agent.handle(DeploymentConfirmed(4, ENDPOINT), t)
         established = t + agent.profile.attach_time_us
         assert [fire_us for fire_us, _ in recorder.scheduled] == [established]
-        assert (agent.confirm_finalized_us, agent.established_us) == (t, established)
         recorder.fire()
         assert recorder.submitted == [(established, agent.profile.address,
                                        CloseFederation(ann_id=4), established)]
@@ -293,8 +291,7 @@ class TestAgentsWithFakes:
         agent = consumer_agent(recorder)
         agent.announce(to_micro(3.0))
         [(_, sender, call, now_us)] = recorder.submitted
-        assert (sender, now_us, agent.announce_submitted_us) == \
-            (agent.profile.address, to_micro(3.0), to_micro(3.0))
+        assert (sender, now_us) == (agent.profile.address, to_micro(3.0))
         assert call.consumer_endpoint == ENDPOINT and recorder.scheduled == []
 
 

@@ -174,8 +174,8 @@ class TestBlockProduction:
         ledger.submit(addr("s"), Ping(), 0)
         for t in range(1, 4):
             ledger.produce_block(to_micro(5.0 * t))
-        assert ledger.verify_chain()
         for prev, block in zip(ledger.chain, ledger.chain[1:]):
+            assert block.height == prev.height + 1
             assert block.parent_digest == block_digest(prev)
 
     def test_deterministic_block_sequence(self):

@@ -13,8 +13,8 @@ from edgefed import simkernel
 from edgefed.agents import ConsumerAgent, ProviderAgent
 from edgefed.canonical import digest
 from edgefed.contract import BidPlaced, FederationClosed, FederationContract, ServiceAnnounced
-from edgefed.ledger import Algorithm
-from edgefed.metrics import write_csv
+from edgefed.ledger import Algorithm, block_digest
+from edgefed.metrics import read_csv, write_csv
 from edgefed.simkernel import (
     MODE_SINGLE,
     ConfigInvalid,
@@ -59,7 +59,7 @@ class TestEventQueue:
     def test_empty_queue_signals_end(self):
         queue = EventQueue()
         assert queue.step() is None
-        assert queue.empty()
+        assert queue.peek_time() is None
 
     def test_clock_is_monotone(self):
         queue = EventQueue()
@@ -85,9 +85,6 @@ class HeapModel:
         seq = next(self._seq)
         heapq.heappush(self._heap, (fire_us, seq, action))
         return seq
-
-    def empty(self):
-        return not self._heap
 
     def peek_time(self):
         return self._heap[0][0] if self._heap else None
@@ -125,7 +122,7 @@ def drive(queue, initial, plan) -> list:
     for i, fire_us in enumerate(initial):
         log.append(("seq", queue.schedule(fire_us, action(str(i)))))
     while True:
-        log.append(("state", queue.empty(), queue.peek_time()))
+        log.append(("state", queue.peek_time()))
         result = queue.step()
         log.append(("step", result))
         if result is None:
@@ -241,8 +238,10 @@ class TestRunScenario:
         assert flat == whole
 
     def test_qbft_chain_stays_valid(self):
-        result = run_once(scenario(n=10, variant="qbft", runs=1), 0)
-        assert result.ledger.verify_chain()
+        chain = run_once(scenario(n=10, variant="qbft", runs=1), 0).blocks
+        for prev, block in zip(chain, chain[1:]):
+            assert block.height == prev.height + 1
+            assert block.parent_digest == block_digest(prev)
 
     def test_agents_submit_every_call_the_contract_handles(self):
         # A handler no agent reaches is dead code: delete it with its call type.
@@ -393,13 +392,13 @@ class TestRoutedDelivery:
 
     # Per-run handle calls: per federation, the announcement reaches its
     # consumer and every provider, each bid and the confirmation reach the
-    # consumer, and the selection reaches the consumer and the winner.
+    # consumer, and the selection reaches only the winner.
     # Broadcast made 7,200 at N=30. The digests were recorded from broadcast
     # delivery; routing must not change a byte of the traces.
     @pytest.mark.parametrize("n, variant, mode, handle_calls, csv_sha256", [
-        (30, "clique", None, 384, "a3ddfe9b045fd3110cde18c703810da5c0b211fbe99744b82a019719d0207961"),
-        (30, "qbft", None, 384, "94d7c49147ccd1ca7ac312933fdae3de3150c7f0cae0c93feb81ff2b3afa90f5"),
-        (10, "qbft", "single", 64, "6b3ac6d969fad474365a82cc93c873db71adcd08dee859b064a3ded66e08678b"),
+        (30, "clique", None, 360, "a3ddfe9b045fd3110cde18c703810da5c0b211fbe99744b82a019719d0207961"),
+        (30, "qbft", None, 360, "94d7c49147ccd1ca7ac312933fdae3de3150c7f0cae0c93feb81ff2b3afa90f5"),
+        (10, "qbft", "single", 56, "6b3ac6d969fad474365a82cc93c873db71adcd08dee859b064a3ded66e08678b"),
     ])
     def test_routing_keeps_traces_and_bounds_handle_calls(
             self, tmp_path, monkeypatch, n, variant, mode, handle_calls, csv_sha256):
@@ -414,6 +413,36 @@ class TestRoutedDelivery:
         path = tmp_path / "trace.csv"
         write_csv(traces, path, cfg.scenario_id, cfg.variant, cfg.n_systems)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == csv_sha256
+
+
+class TestTracesFromTheChain:
+    """QBFT at N=10, seed 7: block 1, with the announcements, is produced at
+    5 s and final at 5.25 s; block 2, with the bids, at 10 s and 10.25 s. A
+    trace holds a step once its block is final by the timeout, and not once
+    the block is merely produced."""
+
+    def run(self, timeout_s: float):
+        return run_once(scenario(n=10, variant="qbft", timeout_us=to_micro(timeout_s)), 0)
+
+    def test_the_blocks_are_where_the_cases_need_them(self):
+        blocks = self.run(10.5).blocks
+        assert [(b.timestamp_us, b.finality_time_us) for b in blocks[1:3]] == [
+            (to_micro(5.0), to_micro(5.25)), (to_micro(10.0), to_micro(10.25))]
+
+    def test_an_announcement_produced_but_not_final_gives_no_ann_id(self, tmp_path):
+        result = self.run(5.1)
+        assert result.blocks[1].timestamp_us == to_micro(5.0)
+        assert [t.ann_id for t in result.traces] == [None] * 8
+        assert [t.announce_submitted_us for t in result.traces] == [None] * 8
+        path = tmp_path / "trace.csv"
+        write_csv(result.traces, path, "edge", "qbft", 10)
+        assert [row["ann_id"] for row in read_csv(path)] == [None] * 8
+
+    @pytest.mark.parametrize("timeout_s, second_bid_us", [(10.2, None), (10.5, to_micro(10.25))])
+    def test_the_second_bid_counts_from_its_finality(self, timeout_s, second_bid_us):
+        traces = self.run(timeout_s).traces
+        assert [t.ann_id for t in traces] == list(range(8))
+        assert [t.second_bid_finalized_us for t in traces] == [second_bid_us] * 8
 
 
 class TestConfigParsing:
