@@ -136,8 +136,8 @@ class DeploymentQueue:
 class ProviderAgent:
     """Event-driven provider: bids on announcements, deploys on wins.
 
-    `handle` receives every announcement and the selections this provider
-    won; the kernel routes each event only to the agents it concerns.
+    `handle` receives every announcement and only the selections this
+    provider won: the kernel decides which agent acts on each event.
     """
 
     def __init__(self, profile: ProviderProfile, schedule, submit, pricing_ctx, pricing_rng,
@@ -172,22 +172,21 @@ class ConsumerAgent:
     """Announces a service extension, then drives selection, attach and close.
 
     `handle` receives only the events of this consumer's own federation that
-    it acts on: its announcement, its bids and its deployment confirmation.
-    It keeps only what it acts on; the timeline is read off the chain.
+    it acts on: the bid that reaches the contract's minimum offers and the
+    deployment confirmation. It keeps no per-federation state: each reaction
+    takes its announcement id from the event, and the timeline is read off
+    the chain.
     """
 
     def __init__(self, profile: ConsumerProfile, schedule, submit, endpoint: OverlayEndpoint,
-                 sla: SlaTerms, deposit_micro: int, min_offers: int, reaction_us: int):
+                 sla: SlaTerms, deposit_micro: int, reaction_us: int):
         self.profile = profile
         self.schedule = schedule
         self.submit = submit
         self.endpoint = endpoint
         self.sla = sla
         self.deposit_micro = deposit_micro
-        self.min_offers = min_offers
         self.reaction_us = reaction_us
-        self.ann_id: int | None = None
-        self.selection_issued = False
 
     def announce(self, now_us: int) -> None:
         announcement = AnnounceService(
@@ -199,18 +198,14 @@ class ConsumerAgent:
         self.submit(self.profile.address, announcement, now_us)
 
     def handle(self, event, observed_us: int) -> None:
-        if isinstance(event, BidPlaced):  # most events: one per bid
-            if not self.selection_issued and event.bid_count >= self.min_offers:
-                self.selection_issued = True
-                choose_us = observed_us + self.reaction_us
-                self.schedule(choose_us, partial(self.submit, self.profile.address,
-                                                 ChooseProvider(ann_id=self.ann_id), choose_us))
-        elif isinstance(event, ServiceAnnounced):
-            self.ann_id = event.ann_id
+        if isinstance(event, BidPlaced):
+            choose_us = observed_us + self.reaction_us
+            self.schedule(choose_us, partial(self.submit, self.profile.address,
+                                             ChooseProvider(ann_id=event.ann_id), choose_us))
         elif isinstance(event, DeploymentConfirmed):
             established = observed_us + self.profile.attach_time_us
             self.schedule(established, partial(self.submit, self.profile.address,
-                                               CloseFederation(ann_id=self.ann_id), established))
+                                               CloseFederation(ann_id=event.ann_id), established))
 
 
 def soa_federate(consumer: ConsumerProfile, providers, rtt_us: int,

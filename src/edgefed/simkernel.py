@@ -1,8 +1,8 @@
 """Deterministic discrete-event engine and scenario construction.
 
-One logical thread per run: a clock, a (fire time, sequence) ordered event
-queue, seeded per-purpose random streams, topology generation, and the wiring
-that drives ledger, contract and agents through a full federation workflow.
+One logical thread per run: a clock, a time-ordered FIFO event queue,
+seeded per-purpose random streams, topology generation, and the wiring that
+drives ledger, contract and agents through a full federation workflow.
 Two executions with equal configs produce identical ledgers, digests and
 traces.
 
@@ -13,12 +13,13 @@ with tuple comparisons. A block's events stay one batch; they are stamped
 with its height and finality only when `RunResult.stamped_events` is read.
 
 Finalized contract events reach agents through one per-run routing table,
-not by broadcast: an announcement goes to the consumer that made it and to
-every provider, a bid or a deployment confirmation only to the federation's
-consumer, and the selection only to the winner. Events no agent acts on go
-to none. Recipients of one event are called consumers first, then providers,
-in list order, which is the order broadcast used; that order fixes the
-event queue's schedule sequence and so every output byte.
+not by broadcast, and only the agents that act on an event receive it: an
+announcement goes to every provider, the bid that reaches the contract's
+minimum offers and the deployment confirmation to the federation's
+consumer, and the selection to the winner. Events no agent acts on go to
+none. Providers are called in list order, which is the order broadcast
+used; that order fixes the event queue's schedule order and so every
+output byte.
 
 Agents keep only what they act on. Each federation's trace is read off the
 run's chain once the run ends: every step is the finality of the block that
@@ -86,46 +87,44 @@ class ConfigInvalid(Exception):
 
 
 class EventQueue:
-    """Dispatches actions in (fire_time, schedule sequence) order.
+    """Dispatches actions in (fire time, schedule order) order.
 
-    Sequence numbers only grow, so a FIFO bucket per instant holds its
-    actions in that order; a heap orders only the distinct instants. A
-    bucket is a list read from the front by `_fired`, not a deque: most
-    hold one or a few actions, and such a list is about a tenth the size.
+    A FIFO bucket per instant holds its actions in the order they were
+    scheduled, so list position is the only sequence; a heap orders only
+    the distinct instants. A bucket is a list read from the front by
+    `_fired`, not a deque: most hold one or a few actions, and such a list
+    is about a tenth the size.
     """
 
     def __init__(self):
         self._instants = []  # heap of the instants that have a bucket
-        self._buckets = {}  # instant -> list of (sequence, action)
+        self._buckets = {}  # instant -> its actions, in schedule order
         # Entries of the earliest bucket already run. No instant can come
         # before the clock, so that bucket stays earliest until it drains.
         self._fired = 0
-        self._seq = 0
         self.now_us = 0
 
-    def schedule(self, fire_us: int, action) -> int:
+    def schedule(self, fire_us: int, action) -> None:
         if fire_us < self.now_us:
             raise SchedulingInPast(f"t={fire_us}us is before the clock ({self.now_us}us)")
-        seq = self._seq
-        self._seq = seq + 1
         bucket = self._buckets.get(fire_us)
         if bucket is None:
             bucket = self._buckets[fire_us] = []
             heapq.heappush(self._instants, fire_us)
-        bucket.append((seq, action))
-        return seq
+        bucket.append(action)
 
     def peek_time(self) -> int | None:
         return self._instants[0] if self._instants else None
 
-    def step(self):
-        """Advance the clock to the next event and run it; None at queue end."""
+    def step(self) -> bool | None:
+        """Advance the clock to the next event and run it: True once it has
+        run, None at queue end. Not the fire instant, which can be 0."""
         if not self._instants:
             return None
         fire_us = self._instants[0]
         bucket = self._buckets[fire_us]
         fired = self._fired
-        seq, action = bucket[fired]
+        action = bucket[fired]
         if fired + 1 < len(bucket):
             bucket[fired] = None  # the action is not kept alive once run
             self._fired = fired + 1
@@ -137,7 +136,7 @@ class EventQueue:
             self._fired = 0
         self.now_us = fire_us
         action()
-        return fire_us, seq
+        return True
 
 
 # -- seeded randomness -----------------------------------------------------------
@@ -209,6 +208,12 @@ class AgentParams:
         if min(self.tariffs_micro) <= 0:
             # Every bid would be priced at the 1 micro-unit floor.
             raise ConfigInvalid("agents.tariffs must be positive")
+        ctx = self.pricing
+        if not math.isfinite(max(self.tariffs_micro) * ctx.time_factor_curve[ctx.hour_of_day]
+                             * (1 + ctx.jitter_fraction)):
+            # The highest price a bid can draw: compute_bid_price cannot round infinity.
+            raise ConfigInvalid("agents.tariffs x time_factor_curve[hour_of_day] x "
+                                "(1 + jitter_fraction) must be finite")
         if not 0 <= self.abstain_probability <= 1:
             # A probability: above 1 would read as 1 and below 0 as 0, silently.
             raise ConfigInvalid("agents.abstain_probability must be in [0, 1]")
@@ -578,7 +583,6 @@ class _ChainRun:
                 endpoint=OverlayEndpoint(ip=f"10.{i % 250}.0.1", udp_port=4789, vni=100 + i),
                 sla=cfg.agents.sla,
                 deposit_micro=cfg.agents.deposit_micro,
-                min_offers=self.genesis.min_offers,
                 reaction_us=cfg.agents.reaction_delay_us,
             )
             for i, profile in enumerate(cell.consumer_profiles)
@@ -640,41 +644,32 @@ class _ChainRun:
             self.kernel.schedule(next_time, self._on_block_time)
 
     def _deliver(self, finality_us: int, events):
-        """Hand a block's events, in tx order, to the agents they concern;
-        observation happens at the block's finality."""
-        consumer_by_ann = self._consumer_by_ann
-        single = self.cfg.concurrency_mode == MODE_SINGLE
+        """Hand each of a block's events, in tx order, to the agents that act
+        on it; observation happens at the block's finality."""
+        consumer_by_ann, min_offers = self._consumer_by_ann, self.genesis.min_offers
         for event in events:
-            if type(event) is BidPlaced:  # most events: one per bid
+            kind = type(event)
+            if kind is BidPlaced:  # most events: one per bid
+                # A provider bids once per announcement, so each count reaches
+                # min_offers once, and only that bid makes its consumer select.
+                if event.bid_count == min_offers:
+                    consumer_by_ann[event.ann_id].handle(event, finality_us)
+            elif kind is ServiceAnnounced:
+                # Announcements carry no sender: their consumer is found by
+                # app id and bound to the announcement id here.
+                consumer_by_ann[event.ann_id] = self._consumer_by_app[event.requirements.app_id]
+                for provider in self.providers:
+                    provider.handle(event, finality_us)
+            elif kind is ProviderChosen:
+                self._provider_by_address[event.winner].handle(event, finality_us)
+            elif kind is DeploymentConfirmed:
                 consumer_by_ann[event.ann_id].handle(event, finality_us)
-                continue
-            for agent in self._recipients(event):
-                agent.handle(event, finality_us)
-            if single and type(event) is FederationClosed:
-                self._start_next_consumer(finality_us)
-
-    def _recipients(self, event) -> list:
-        """The agents that act on `event`, other than a bid, which `_deliver`
-        hands to its consumer itself: an announcement's consumer and every
-        provider, a confirmation's consumer, or a selection's winner.
-        Announcements carry no sender, so their consumer is found by app id,
-        and the announcement id is bound to it here."""
-        if isinstance(event, ServiceAnnounced):
-            consumer = self._consumer_by_app[event.requirements.app_id]
-            self._consumer_by_ann[event.ann_id] = consumer
-            return [consumer, *self.providers]
-        if isinstance(event, DeploymentConfirmed):
-            return [self._consumer_by_ann[event.ann_id]]
-        if isinstance(event, ProviderChosen):
-            return [self._provider_by_address[event.winner]]
-        return []
-
-    def _start_next_consumer(self, finality_us: int):
-        # One federation is open at a time, so each close starts one consumer.
-        if self._closed < len(self.consumers):
-            nxt = self.consumers[self._closed]
-            announce_us = finality_us + self.cfg.agents.reaction_delay_us
-            self.kernel.schedule(announce_us, partial(nxt.announce, announce_us))
+            elif (kind is FederationClosed and self.cfg.concurrency_mode == MODE_SINGLE
+                  and self._closed < len(self.consumers)):
+                # One federation is open at a time, so each close starts one consumer.
+                nxt = self.consumers[self._closed]
+                announce_us = finality_us + self.cfg.agents.reaction_delay_us
+                self.kernel.schedule(announce_us, partial(nxt.announce, announce_us))
 
     def _traces(self) -> list:
         """One trace per consumer, in consumer order, read off the blocks

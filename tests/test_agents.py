@@ -221,25 +221,23 @@ def provider_agent(recorder, profile=None) -> ProviderAgent:
                          random.Random(0), REACTION_US)
 
 
-def consumer_agent(recorder, ann_id=4) -> ConsumerAgent:
-    agent = ConsumerAgent(consumer(), recorder.schedule, recorder.submit, ENDPOINT,
-                          SlaTerms.from_floats(0.99, 50.0, 2.0), to_micro(10.0),
-                          min_offers=2, reaction_us=REACTION_US)
-    agent.handle(ServiceAnnounced(ann_id, agent.profile.requirements), 0)
-    return agent
+def consumer_agent(recorder) -> ConsumerAgent:
+    return ConsumerAgent(consumer(), recorder.schedule, recorder.submit, ENDPOINT,
+                         SlaTerms.from_floats(0.99, 50.0, 2.0), to_micro(10.0),
+                         reaction_us=REACTION_US)
 
 
 class TestAgentsWithFakes:
-    def test_consumer_chooses_once_at_the_min_offers_bid(self):
+    def test_consumer_chooses_after_its_reaction_delay(self):
+        # The kernel hands a consumer only the bid that reaches min_offers.
         recorder = Recorder()
         agent = consumer_agent(recorder)
-        t = to_micro(10.0)
-        for count in (1, 2, 3):
-            agent.handle(BidPlaced(ann_id=4, bid_count=count), t + count)
-        assert [fire_us for fire_us, _ in recorder.scheduled] == [t + 2 + REACTION_US]
+        choose_us = to_micro(10.0) + REACTION_US
+        agent.handle(BidPlaced(ann_id=4, bid_count=2), to_micro(10.0))
+        assert [fire_us for fire_us, _ in recorder.scheduled] == [choose_us]
         recorder.fire()
-        assert recorder.submitted == [(t + 2 + REACTION_US, agent.profile.address,
-                                       ChooseProvider(ann_id=4), t + 2 + REACTION_US)]
+        assert recorder.submitted == [(choose_us, agent.profile.address,
+                                       ChooseProvider(ann_id=4), choose_us)]
 
     def test_abstaining_provider_schedules_nothing(self):
         recorder = Recorder()

@@ -272,6 +272,8 @@ class TestBadConfigExits1:
         ({"sweep": {"n_systems": [2, 10, 2]}}, "sweep.n_systems must not repeat a value"),
         ({"sweep": {"variants": ["clique", "soa", "clique"]}},
          "sweep.variants must not repeat a value"),
+        ({"agents": {"tariffs": [1.7e302], "hour_of_day": 17}, "runs": 1},
+         "agents.tariffs x time_factor_curve[hour_of_day] x (1 + jitter_fraction) must be finite"),
     ], ids=["negative_container_start", "non_numeric_tariff", "jitter_above_one",
             "negative_timeout", "boolean_runs", "sweep_below_two_systems",
             "negative_reaction_delay", "negative_message_delay",
@@ -284,7 +286,7 @@ class TestBadConfigExits1:
             "non_string_scenario_id", "abstain_above_one", "abstain_below_zero",
             "negative_tariff", "zero_tariff", "hour_of_day_24", "two_entry_curve",
             "zero_time_factor", "empty_sweep_n_systems", "empty_sweep_variants",
-            "repeated_sweep_n_systems", "repeated_sweep_variants"])
+            "repeated_sweep_n_systems", "repeated_sweep_variants", "infinite_top_bid_price"])
     def test_rejected_in_parsing_with_one_line_reason(self, tmp_path, capsys, overrides, reason):
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "out"

@@ -82,9 +82,7 @@ class HeapModel:
     def schedule(self, fire_us, action):
         if fire_us < self.now_us:
             raise SchedulingInPast(fire_us)
-        seq = next(self._seq)
-        heapq.heappush(self._heap, (fire_us, seq, action))
-        return seq
+        heapq.heappush(self._heap, (fire_us, next(self._seq), action))
 
     def peek_time(self):
         return self._heap[0][0] if self._heap else None
@@ -92,10 +90,10 @@ class HeapModel:
     def step(self):
         if not self._heap:
             return None
-        fire_us, seq, action = heapq.heappop(self._heap)
+        fire_us, _, action = heapq.heappop(self._heap)
         self.now_us = fire_us
         action()
-        return fire_us, seq
+        return True
 
 
 def drive(queue, initial, plan) -> list:
@@ -104,7 +102,8 @@ def drive(queue, initial, plan) -> list:
     `initial` holds the fire times scheduled up front. The k-th action to
     fire schedules one action per offset in `plan[k]`, at the clock plus
     that offset: 0 is the current instant, also after its own bucket has
-    drained, and -1 is in the past.
+    drained, and -1 is in the past. Each action logs its name and the clock
+    when it fires, so the log fixes the dispatch order.
     """
     log, fired = [], itertools.count()
 
@@ -114,13 +113,14 @@ def drive(queue, initial, plan) -> list:
             log.append(("fire", name, queue.now_us))
             for j, offset in enumerate(plan[k] if k < len(plan) else ()):
                 try:
-                    log.append(("seq", queue.schedule(queue.now_us + offset, action(f"{name}.{j}"))))
+                    log.append(("scheduled", queue.schedule(queue.now_us + offset,
+                                                            action(f"{name}.{j}"))))
                 except SchedulingInPast:
                     log.append(("past", queue.now_us + offset))
         return run
 
     for i, fire_us in enumerate(initial):
-        log.append(("seq", queue.schedule(fire_us, action(str(i)))))
+        log.append(("scheduled", queue.schedule(fire_us, action(str(i)))))
     while True:
         log.append(("state", queue.peek_time()))
         result = queue.step()
@@ -364,12 +364,19 @@ class TestCollector:
 
 
 def record_handle_calls(monkeypatch) -> list:
-    """(agent, event) for every agent handle call made from now on."""
+    """(agent, event, whether the call scheduled anything) for every agent
+    handle call made from now on."""
     calls = []
     for cls in (ConsumerAgent, ProviderAgent):
         def counting(self, event, observed_us, _original=cls.handle):
-            calls.append((self, event))
-            return _original(self, event, observed_us)
+            scheduled = []
+            schedule = self.schedule
+            self.schedule = lambda *args: scheduled.append(args) or schedule(*args)
+            try:
+                return _original(self, event, observed_us)
+            finally:
+                self.schedule = schedule
+                calls.append((self, event, bool(scheduled)))
 
         monkeypatch.setattr(cls, "handle", counting)
     return calls
@@ -383,22 +390,37 @@ class TestRoutedDelivery:
         owner = run.consumers[3]
         announced = ServiceAnnounced(ann_id=5, requirements=owner.profile.requirements)
         run._deliver(0, [announced])
-        assert [agent for agent, _ in calls] == [owner, *run.providers]
-        assert owner.ann_id == 5
+        assert [agent for agent, _, _ in calls] == run.providers
+        assert run._consumer_by_ann[5] is owner
 
         calls.clear()
         run._deliver(0, [BidPlaced(ann_id=5, bid_count=1), FederationClosed(ann_id=5)])
-        assert [(agent, type(event)) for agent, event in calls] == [(owner, BidPlaced)]
+        assert calls == []
 
-    # Per-run handle calls: per federation, the announcement reaches its
-    # consumer and every provider, each bid and the confirmation reach the
-    # consumer, and the selection reaches only the winner.
+    @pytest.mark.parametrize("n, min_offers", [(10, 2), (2, 1)])
+    def test_only_the_min_offers_bid_reaches_its_consumer(
+            self, monkeypatch, n, min_offers):
+        calls = record_handle_calls(monkeypatch)
+        cfg = scenario(n=n)
+        run = _ChainRun(cfg, 0, build_cell(cfg))
+        assert run.genesis.min_offers == min_offers
+        owner = run.consumers[-1]
+        run._deliver(0, [ServiceAnnounced(ann_id=5, requirements=owner.profile.requirements)])
+        calls.clear()
+        run._deliver(to_micro(10.0), [BidPlaced(ann_id=5, bid_count=count) for count in (1, 2, 3)])
+        assert calls == [(owner, BidPlaced(ann_id=5, bid_count=min_offers), True)]
+
+    # Per-run handle calls: per federation, the announcement reaches every
+    # provider, the bid reaching min_offers and the confirmation reach the
+    # consumer, and the selection reaches only the winner. At N=30 (24
+    # consumers, 6 providers) that is 24 x (6 + 1 + 1 + 1) = 216; at N=10 in
+    # single mode (8 consumers, 2 providers) it is 8 x (2 + 1 + 1 + 1) = 40.
     # Broadcast made 7,200 at N=30. The digests were recorded from broadcast
     # delivery; routing must not change a byte of the traces.
     @pytest.mark.parametrize("n, variant, mode, handle_calls, csv_sha256", [
-        (30, "clique", None, 360, "a3ddfe9b045fd3110cde18c703810da5c0b211fbe99744b82a019719d0207961"),
-        (30, "qbft", None, 360, "94d7c49147ccd1ca7ac312933fdae3de3150c7f0cae0c93feb81ff2b3afa90f5"),
-        (10, "qbft", "single", 56, "6b3ac6d969fad474365a82cc93c873db71adcd08dee859b064a3ded66e08678b"),
+        (30, "clique", None, 216, "a3ddfe9b045fd3110cde18c703810da5c0b211fbe99744b82a019719d0207961"),
+        (30, "qbft", None, 216, "94d7c49147ccd1ca7ac312933fdae3de3150c7f0cae0c93feb81ff2b3afa90f5"),
+        (10, "qbft", "single", 40, "6b3ac6d969fad474365a82cc93c873db71adcd08dee859b064a3ded66e08678b"),
     ])
     def test_routing_keeps_traces_and_bounds_handle_calls(
             self, tmp_path, monkeypatch, n, variant, mode, handle_calls, csv_sha256):
@@ -410,6 +432,8 @@ class TestRoutedDelivery:
         calls = record_handle_calls(monkeypatch)
         traces = run_scenario(cfg)
         assert len(calls) == handle_calls
+        # Every call acts: it schedules a reaction.
+        assert all(acted for _, _, acted in calls)
         path = tmp_path / "trace.csv"
         write_csv(traces, path, cfg.scenario_id, cfg.variant, cfg.n_systems)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == csv_sha256
