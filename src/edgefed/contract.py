@@ -246,6 +246,7 @@ class FederationContract:
         self.federations: dict[int, FederationRecord] = {}
         self.next_ann_id = 0
         self.min_offers = genesis.min_offers
+        self.closed = 0  # federations in Phase.CLOSED
         self.rejected: list[tuple[int, str]] = []  # (tx id, error class name)
 
     # -- execution ---------------------------------------------------------
@@ -352,6 +353,7 @@ class FederationContract:
         if record.phase is not Phase.DEPLOYMENT_CONFIRMED:
             raise WrongPhase(f"announcement {call.ann_id} is not confirmed")
         record.phase = Phase.CLOSED
+        self.closed += 1
         return FederationClosed(ann_id=call.ann_id)
 
     _HANDLERS = {

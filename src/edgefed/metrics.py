@@ -228,6 +228,9 @@ def _flag(text: str) -> bool:
 
 
 def _read_row(raw: dict, where: str) -> dict:
+    if None in raw:  # DictReader files the cells beyond the header under None
+        raise MalformedCsv(f"{where}: {len(raw[None])} more cell(s) than the header")
+
     def cell(column, parse, required):
         text = raw[column] or ""  # None when the row has fewer cells than the header
         if not text:

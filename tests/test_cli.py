@@ -193,8 +193,9 @@ class TestCompare:
         # otherwise enter the overhead as 81.4 s.
         (HEADER, ROW.replace("17.600000", "99.000000"),
          "row 2, column total_s: the segments sum to 17.600000, not 99.000000"),
+        (HEADER, ROW + ",junk,more", "row 2: 2 more cell(s) than the header"),
     ], ids=["missing_column", "non_numeric_n_systems", "complete_without_segments",
-            "seventh_fraction_digit", "segments_do_not_sum_to_total"])
+            "seventh_fraction_digit", "segments_do_not_sum_to_total", "cells_beyond_the_header"])
     def test_malformed_csv_exits_1_naming_file_row_and_column(
             self, tmp_path, capsys, header, row, reason):
         err = self.compare_fails(
@@ -274,6 +275,16 @@ class TestBadConfigExits1:
          "sweep.variants must not repeat a value"),
         ({"agents": {"tariffs": [1.7e302], "hour_of_day": 17}, "runs": 1},
          "agents.tariffs x time_factor_curve[hour_of_day] x (1 + jitter_fraction) must be finite"),
+        ({"agents": {"genesis_balance": -1, "announce_deposit": -2, "sla": {"penalty": -3}},
+          "runs": 1}, "agents.sla.penalty must be non-negative"),
+        ({"agents": {"sla": {"min_availability": 7.5}}},
+         "agents.sla.min_availability must be in [0, 1]"),
+        ({"agents": {"sla": {"min_availability": -0.1}}},
+         "agents.sla.min_availability must be in [0, 1]"),
+        ({"agents": {"sla": {"max_latency_ms": -3}}},
+         "agents.sla.max_latency_ms must be non-negative"),
+        ({"topology": {"n_systems": 2, "split": [8, 2]}},
+         "split (8,2) does not sum to n_systems=2"),
     ], ids=["negative_container_start", "non_numeric_tariff", "jitter_above_one",
             "negative_timeout", "boolean_runs", "sweep_below_two_systems",
             "negative_reaction_delay", "negative_message_delay",
@@ -286,7 +297,9 @@ class TestBadConfigExits1:
             "non_string_scenario_id", "abstain_above_one", "abstain_below_zero",
             "negative_tariff", "zero_tariff", "hour_of_day_24", "two_entry_curve",
             "zero_time_factor", "empty_sweep_n_systems", "empty_sweep_variants",
-            "repeated_sweep_n_systems", "repeated_sweep_variants", "infinite_top_bid_price"])
+            "repeated_sweep_n_systems", "repeated_sweep_variants", "infinite_top_bid_price",
+            "negative_sla_penalty", "availability_above_one", "availability_below_zero",
+            "negative_max_latency", "split_contradicting_n_systems"])
     def test_rejected_in_parsing_with_one_line_reason(self, tmp_path, capsys, overrides, reason):
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "out"

@@ -248,8 +248,10 @@ class TestDeploymentAndClose:
     def test_consumer_closes_after_confirmation(self):
         contract, ann = self.chosen()
         contract.apply(P2, ConfirmDeployment(ann_id=ann, provider_endpoint=ENDPOINT), 4)
+        assert contract.closed == 0
         contract.apply(CONSUMER, CloseFederation(ann_id=ann), 5)
         assert contract.federations[ann].phase is Phase.CLOSED
+        assert contract.closed == 1
 
     def test_provider_cannot_close(self):
         contract, ann = self.chosen()
@@ -263,6 +265,7 @@ class TestDeploymentAndClose:
         contract.apply(CONSUMER, CloseFederation(ann_id=ann), 5)
         with pytest.raises(WrongPhase):
             contract.apply(CONSUMER, CloseFederation(ann_id=ann), 6)
+        assert contract.closed == 1
 
 
 class TestDigest:

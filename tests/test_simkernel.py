@@ -2,7 +2,7 @@ import gc
 import hashlib
 import heapq
 import itertools
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -16,6 +16,7 @@ from edgefed.contract import BidPlaced, FederationClosed, FederationContract, Se
 from edgefed.ledger import Algorithm, block_digest
 from edgefed.metrics import read_csv, write_csv
 from edgefed.simkernel import (
+    MODE_ALL,
     MODE_SINGLE,
     ConfigInvalid,
     EventQueue,
@@ -382,19 +383,36 @@ def record_handle_calls(monkeypatch) -> list:
     return calls
 
 
+def deliver_next_block(run: _ChainRun, events=None):
+    """Produce and execute the run's next block, then deliver `events`, or
+    the events the contract gave, as the kernel would at its finality."""
+    block = run.ledger.produce_block(run.ledger.next_block_time_us())
+    executed = run.contract.execute_block(block)
+    run._deliver(block, executed if events is None else events)
+    return executed
+
+
+def announce(run: _ChainRun, owner: ConsumerAgent) -> int:
+    """Submit `owner`'s announcement, deliver its block; the contract's ann_id."""
+    owner.announce(0)
+    (announced,) = deliver_next_block(run)
+    assert type(announced) is ServiceAnnounced
+    return announced.ann_id
+
+
 class TestRoutedDelivery:
     def test_events_reach_only_the_agents_they_concern(self, monkeypatch):
         calls = record_handle_calls(monkeypatch)
         cfg = scenario(n=10)
         run = _ChainRun(cfg, 0, build_cell(cfg))
         owner = run.consumers[3]
-        announced = ServiceAnnounced(ann_id=5, requirements=owner.profile.requirements)
-        run._deliver(0, [announced])
+        ann_id = announce(run, owner)
         assert [agent for agent, _, _ in calls] == run.providers
-        assert run._consumer_by_ann[5] is owner
+        assert run._consumer_by_ann[ann_id] is owner
 
         calls.clear()
-        run._deliver(0, [BidPlaced(ann_id=5, bid_count=1), FederationClosed(ann_id=5)])
+        deliver_next_block(run, [BidPlaced(ann_id=ann_id, bid_count=1),
+                                 FederationClosed(ann_id=ann_id)])
         assert calls == []
 
     @pytest.mark.parametrize("n, min_offers", [(10, 2), (2, 1)])
@@ -405,10 +423,24 @@ class TestRoutedDelivery:
         run = _ChainRun(cfg, 0, build_cell(cfg))
         assert run.genesis.min_offers == min_offers
         owner = run.consumers[-1]
-        run._deliver(0, [ServiceAnnounced(ann_id=5, requirements=owner.profile.requirements)])
+        ann_id = announce(run, owner)
         calls.clear()
-        run._deliver(to_micro(10.0), [BidPlaced(ann_id=5, bid_count=count) for count in (1, 2, 3)])
-        assert calls == [(owner, BidPlaced(ann_id=5, bid_count=min_offers), True)]
+        deliver_next_block(run, [BidPlaced(ann_id=ann_id, bid_count=count) for count in (1, 2, 3)])
+        assert calls == [(owner, BidPlaced(ann_id=ann_id, bid_count=min_offers), True)]
+
+    @pytest.mark.parametrize("variant, mode", [("clique", MODE_ALL), ("qbft", MODE_SINGLE)],
+                             ids=["clique_all", "qbft_single"])
+    def test_consumers_sharing_one_app_id_federate_as_with_their_own(self, variant, mode):
+        # An announcement reaches its consumer through the sender the contract
+        # recorded, and the app id sets no timing, so sharing it changes no trace.
+        cfg = scenario(n=10, variant=variant, concurrency_mode=mode)
+        cell = build_cell(cfg)
+        shared = replace(cell, consumer_profiles=tuple(
+            replace(p, requirements=replace(p.requirements, app_id="app-shared"))
+            for p in cell.consumer_profiles))
+        traces = run_once(cfg, 0, shared).traces
+        assert [asdict(t) for t in traces] == [asdict(t) for t in run_once(cfg, 0, cell).traces]
+        assert all(t.complete for t in traces)
 
     # Per-run handle calls: per federation, the announcement reaches every
     # provider, the bid reaching min_offers and the confirmation reach the
@@ -491,6 +523,12 @@ class TestConfigParsing:
     def test_split_must_sum_to_n(self):
         with pytest.raises(ConfigInvalid):
             parse_config({"topology": {"n_systems": 10, "split": [5, 4]}})
+
+    def test_split_alone_sets_n_systems(self):
+        cfg = parse_config({"topology": {"split": [8, 2]}})
+        assert (cfg.n_systems, cfg.consumers, cfg.providers) == (10, 8, 2)
+        with pytest.raises(ConfigInvalid, match=r"topology.split must be \[consumers, providers\]"):
+            parse_config({"topology": {"split": [8, 2, 1]}})
 
     def test_bad_variant_rejected(self):
         with pytest.raises(ConfigInvalid):
