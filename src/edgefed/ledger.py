@@ -10,6 +10,11 @@ slotted dataclasses: each is one allocation with no instance `__dict__`, and
 a `Transaction` is built through its slots (`canonical.slot_init`).
 Nonces are kept per sender by the sender's bytes, which hash without a
 Python-level `__hash__` call.
+
+A block's `parent_digest` is computed when it is first read and then cached
+on the block; until then the block holds its parent `Block`. So a run hashes
+no block unless something reads a digest, and a lone `Block` keeps its
+ancestors alive until its digest is read.
 """
 
 import hashlib
@@ -122,12 +127,39 @@ class Block:
     proposer: Address
     timestamp_us: int
     txs: tuple
-    parent_digest: str
+    parent_digest: "str | Block"  # the parent Block until first read: _ParentDigest
     finality_time_us: int
 
 
 def block_digest(block: Block) -> str:
     return canonical.digest(block)
+
+
+class _ParentDigest:
+    """`Block.parent_digest`: the parent `Block` until first read, then its
+    digest. Kept in the instance `__dict__`, which the frozen `__init__`
+    reaches through `object.__setattr__` and so through `__set__`."""
+
+    def __get__(self, block, owner=None):
+        if block is None:
+            raise AttributeError("parent_digest")  # so it is no dataclass default
+        # Walk back to the nearest known digest, then hash forward, oldest
+        # first, so that each parent's own digest is known when it is hashed.
+        value = block.__dict__["parent_digest"]
+        pending = []
+        while type(value) is not str:
+            pending.append(block)
+            block = value
+            value = block.__dict__["parent_digest"]
+        for block in reversed(pending):
+            value = block.__dict__["parent_digest"] = block_digest(block.__dict__["parent_digest"])
+        return value
+
+    def __set__(self, block, value):
+        block.__dict__["parent_digest"] = value
+
+
+Block.parent_digest = _ParentDigest()
 
 
 @dataclass(frozen=True)
@@ -205,7 +237,7 @@ class Ledger:
             proposer=validators[height % len(validators)],
             timestamp_us=now_us,
             txs=tuple(ready),
-            parent_digest=block_digest(self.chain[-1]),
+            parent_digest=self.chain[-1],
             finality_time_us=now_us + self._finality_delay_us,
         )
         self.chain.append(block)

@@ -278,6 +278,9 @@ class ScenarioConfig:
             raise ConfigInvalid("consensus delays must be non-negative")
         if self.timeout_us <= 0:
             raise ConfigInvalid("scenario timeout must be positive")
+        # A run makes a block each period until the last close or the timeout.
+        if self.timeout_us // self.block_period_us > 10**6:
+            raise ConfigInvalid("scenario_timeout_s must span at most 1000000 block periods")
         if not self.sweep_n:
             raise ConfigInvalid("sweep.n_systems must not be empty")
         if not self.sweep_variants:

@@ -285,6 +285,10 @@ class TestBadConfigExits1:
          "agents.sla.max_latency_ms must be non-negative"),
         ({"topology": {"n_systems": 2, "split": [8, 2]}},
          "split (8,2) does not sum to n_systems=2"),
+        ({"agents": {"deployment": {"container_start_s": 1e300}}, "runs": 1,
+          "scenario_timeout_s": 1e301},
+         "scenario_timeout_s must span at most 1000000 block periods"),
+        ({"scenario_timeout_s": 1e7}, "scenario_timeout_s must span at most 1000000 block periods"),
     ], ids=["negative_container_start", "non_numeric_tariff", "jitter_above_one",
             "negative_timeout", "boolean_runs", "sweep_below_two_systems",
             "negative_reaction_delay", "negative_message_delay",
@@ -299,7 +303,8 @@ class TestBadConfigExits1:
             "zero_time_factor", "empty_sweep_n_systems", "empty_sweep_variants",
             "repeated_sweep_n_systems", "repeated_sweep_variants", "infinite_top_bid_price",
             "negative_sla_penalty", "availability_above_one", "availability_below_zero",
-            "negative_max_latency", "split_contradicting_n_systems"])
+            "negative_max_latency", "split_contradicting_n_systems",
+            "timeout_of_a_never_ending_deployment", "timeout_beyond_a_million_blocks"])
     def test_rejected_in_parsing_with_one_line_reason(self, tmp_path, capsys, overrides, reason):
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "out"

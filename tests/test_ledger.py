@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from edgefed import ledger as ledger_module
 from edgefed.canonical import digest
 from edgefed.ledger import (
     Address,
@@ -19,9 +20,10 @@ from edgefed.ledger import (
     finality_delay_us,
     write_chain_dump,
 )
+from edgefed.simkernel import run_once
 from edgefed.units import to_micro
 
-from conftest import addr, clique_config, qbft_config
+from conftest import addr, clique_config, qbft_config, scenario
 
 
 from dataclasses import dataclass
@@ -187,6 +189,46 @@ class TestBlockProduction:
             return digest([b for b in ledger.chain])
 
         assert build() == build()
+
+
+def _empty_chain(blocks: int) -> list:
+    ledger = make_ledger()
+    period = ledger.consensus.block_period_us
+    for height in range(1, blocks + 1):
+        ledger.produce_block(height * period)
+    return ledger.chain
+
+
+class TestLazyParentDigest:
+    def test_a_run_hashes_no_block_until_a_digest_is_read(self, monkeypatch):
+        calls, hash_block = [0], ledger_module.block_digest
+
+        def counting(block):
+            calls[0] += 1
+            return hash_block(block)
+
+        monkeypatch.setattr(ledger_module, "block_digest", counting)
+        blocks = run_once(scenario(n=30), 0).blocks
+        assert len(blocks) > 2 and calls == [0]
+        first = blocks[-1].parent_digest
+        assert calls == [len(blocks) - 1]  # once per parent; genesis has ""
+        assert blocks[-1].parent_digest == first
+        assert calls == [len(blocks) - 1]
+
+    @pytest.mark.parametrize("order", [reversed, iter], ids=["back_to_front", "front_to_back"])
+    def test_every_parent_digest_hashes_its_parent(self, order):
+        blocks = run_once(scenario(n=30), 0).blocks
+        read = {block.height: block.parent_digest for block in order(blocks)}
+        for prev, block in zip(blocks, blocks[1:]):
+            assert read[block.height] == block_digest(prev)
+
+    def test_a_deep_chain_is_read_without_recursion(self):
+        # Far deeper than the recursion limit (1000); the last is read first.
+        blocks = 100_001
+        back_to_front = _empty_chain(blocks)[-1].parent_digest
+        twin = _empty_chain(blocks)
+        front_to_back = [block.parent_digest for block in twin]
+        assert back_to_front == front_to_back[-1]
 
 
 class TestFinality:
