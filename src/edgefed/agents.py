@@ -90,15 +90,26 @@ class ConsumerProfile:
     attach_time_us: int
 
 
-def compute_bid_price(profile: ProviderProfile, ctx: PricingContext, rng) -> int:
-    """Tariff x time-of-day factor x (1 + jitter), micro-rounded, always > 0.
+def pricer(base_tariff_micro: int, ctx: PricingContext, rng):
+    """The bid price rule with its constants read once: a callable giving
+    tariff x time-of-day factor x (1 + jitter), rounded to the nearest
+    micro-unit (ties to even), at least 1. The jitter is uniform in
+    [-jitter_fraction, jitter_fraction), one `rng.random()` per price, as
+    `rng.uniform` draws it; no jitter draws nothing. `rng` is the provider's
+    seeded stream, so runs replay identically."""
+    scale = base_tariff_micro * ctx.time_factor_curve[ctx.hour_of_day]
+    jitter = ctx.jitter_fraction
+    if not jitter:
+        price = max(1, round(float(scale)))  # rounded as a float, as a jittered price is
+        return lambda: price
+    low, draw = -jitter, rng.random
+    span = jitter - low  # rng.uniform(low, jitter) is low + span * rng.random()
+    return lambda: max(1, round(scale * (1.0 + (low + span * draw()))))
 
-    The jitter draw must come from the scenario's seeded stream for the
-    provider so runs replay identically.
-    """
-    factor = ctx.time_factor_curve[ctx.hour_of_day]
-    jitter = rng.uniform(-ctx.jitter_fraction, ctx.jitter_fraction) if ctx.jitter_fraction else 0.0
-    return max(1, round(profile.base_tariff_micro * factor * (1.0 + jitter)))
+
+def compute_bid_price(profile: ProviderProfile, ctx: PricingContext, rng) -> int:
+    """One price by the `pricer` rule, drawn from `rng`."""
+    return pricer(profile.base_tariff_micro, ctx, rng)()
 
 
 @dataclass
@@ -145,19 +156,18 @@ class ProviderAgent:
         self.profile = profile
         self.schedule = schedule
         self.submit = submit
-        self.pricing_ctx = pricing_ctx
-        self.pricing_rng = pricing_rng
+        self.price = pricer(profile.base_tariff_micro, pricing_ctx, pricing_rng)
         self.reaction_us = reaction_us
         self.queue = DeploymentQueue(profile.deploy_model)
 
     def handle(self, event, observed_us: int) -> None:
         react_us = observed_us + self.reaction_us
-        if isinstance(event, ServiceAnnounced):
+        kind = type(event)
+        if kind is ServiceAnnounced:
             if not self.profile.abstain:
-                price = compute_bid_price(self.profile, self.pricing_ctx, self.pricing_rng)
-                bid = PlaceBid(event.ann_id, price)
+                bid = PlaceBid(event.ann_id, self.price())
                 self.schedule(react_us, partial(self.submit, self.profile.address, bid, react_us))
-        elif isinstance(event, ProviderChosen):
+        elif kind is ProviderChosen:
             self.schedule(react_us, partial(self.start_deployment, event.ann_id, react_us))
 
     def start_deployment(self, ann_id: int, now_us: int) -> None:

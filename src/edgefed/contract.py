@@ -14,6 +14,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from enum import IntEnum
+from operator import attrgetter
 
 from . import canonical
 from .ledger import Address, Block, StampedEvent
@@ -63,6 +64,11 @@ class Phase(IntEnum):
     CLOSED = 3
 
 
+# For `_bid`: reading an Enum class attribute goes through the metaclass's
+# `__getattr__` hook, about 0.2 µs a read on CPython 3.11.
+_OPEN = Phase.OPEN
+
+
 @dataclass(frozen=True)
 class ServiceRequirements:
     """Demand-side descriptor only; no provider infrastructure details."""
@@ -72,7 +78,8 @@ class ServiceRequirements:
     bandwidth_mbps: int
 
 
-@dataclass(frozen=True)
+@canonical.slot_init
+@dataclass(frozen=True, slots=True)
 class OverlayEndpoint:
     ip: str
     udp_port: int
@@ -180,7 +187,8 @@ class FederationClosed:
 # -- state -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@canonical.slot_init
+@dataclass(frozen=True, slots=True)
 class ServiceAnnouncement:
     ann_id: int
     consumer: Address
@@ -198,10 +206,9 @@ class Bid:
     order_index: int
 
 
-def bid_priority(bid: Bid) -> tuple:
-    """Total order for winner selection: lowest price, then earliest block,
-    then earliest auction position, then lowest address."""
-    return (bid.price_micro, bid.bid_block, bid.order_index, bid.provider)
+# Total order for winner selection: lowest price, then earliest block, then
+# earliest auction position, then lowest address.
+bid_priority = attrgetter("price_micro", "bid_block", "order_index", "provider")
 
 
 def select_winner(bids) -> Bid:
@@ -233,6 +240,11 @@ class ContractGenesis:
     balances: tuple = ()  # (Address, micro) pairs
     min_offers: int = 2
 
+    def __post_init__(self):
+        if self.min_offers < 1:
+            # ChooseProvider would pick the lowest of no bids.
+            raise ValueError(f"min_offers must be at least 1, got {self.min_offers}")
+
 
 def _unknown_call(contract, sender, call, height):
     raise ContractError(f"unknown call {type(call).__name__}")
@@ -242,6 +254,9 @@ class FederationContract:
     def __init__(self, genesis: ContractGenesis):
         self.genesis = genesis
         self.operators: dict[Address, str] = dict(genesis.operators)
+        # Registration by address bytes, which hash and compare without a
+        # Python-level call; no call adds an operator.
+        self._operator_values = frozenset(address.value for address in self.operators)
         self.balances: dict[Address, int] = {a: v for a, v in genesis.balances}
         self.federations: dict[int, FederationRecord] = {}
         self.next_ann_id = 0
@@ -303,11 +318,12 @@ class FederationContract:
         record = self.federations.get(ann_id)
         if record is None:
             raise ContractError(f"unknown announcement {ann_id}")
-        if sender not in self.operators:
+        key = sender.value
+        if key not in self._operator_values:
             raise NotRegistered(f"{sender} is not a registered operator")
-        if sender == record.announcement.consumer:
+        if key == record.announcement.consumer.value:
             raise SelfBid("consumer cannot bid on its own announcement")
-        if record.phase is not Phase.OPEN:
+        if record.phase is not _OPEN:
             raise WrongPhase(f"bidding is over for announcement {ann_id}")
         # Re-bids overwrite the price and move to the latest auction position.
         bids = record.bids

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
+from . import canonical
 from .units import MICRO, format_micro, parse_micro
 
 
@@ -60,7 +61,8 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
+@canonical.slot_init
+@dataclass(frozen=True, slots=True)
 class FederationTrace:
     """Timeline of one federation.
 

@@ -7,9 +7,10 @@ Two executions with equal configs produce identical ledgers, digests and
 traces.
 
 The event queue keeps one FIFO bucket per fire instant under a heap of the
-distinct instants. All reactions to one block fire at one instant (14,400
-bids at N=300), so dispatching an event costs a list read, not a heap pop
-with tuple comparisons. A block's events stay one batch; they are stamped
+distinct instants, and each step runs one whole instant. All reactions to
+one block fire at one instant (14,400 bids at N=300), so dispatching an
+event costs a list read, not a heap pop with tuple comparisons or a step
+call of its own. A block's events stay one batch; they are stamped
 with its height and finality only when `RunResult.stamped_events` is read.
 
 Finalized contract events reach agents through one per-run routing table,
@@ -88,21 +89,19 @@ class ConfigInvalid(Exception):
 
 
 class EventQueue:
-    """Dispatches actions in (fire time, schedule order) order.
+    """Dispatches actions in (fire time, schedule order) order, one instant
+    per step.
 
     A FIFO bucket per instant holds its actions in the order they were
     scheduled, so list position is the only sequence; a heap orders only
-    the distinct instants. A bucket is a list read from the front by
-    `_fired`, not a deque: most hold one or a few actions, and such a list
-    is about a tenth the size.
+    the distinct instants. A step takes the earliest instant and its bucket
+    off the queue and runs the whole bucket, so dispatch costs one heap pop
+    per instant and a list read per action.
     """
 
     def __init__(self):
         self._instants = []  # heap of the instants that have a bucket
         self._buckets = {}  # instant -> its actions, in schedule order
-        # Entries of the earliest bucket already run. No instant can come
-        # before the clock, so that bucket stays earliest until it drains.
-        self._fired = 0
         self.now_us = 0
 
     def schedule(self, fire_us: int, action) -> None:
@@ -118,25 +117,19 @@ class EventQueue:
         return self._instants[0] if self._instants else None
 
     def step(self) -> bool | None:
-        """Advance the clock to the next event and run it: True once it has
-        run, None at queue end. Not the fire instant, which can be 0."""
+        """Advance the clock to the next instant and run every action
+        scheduled for it: True once they have run, None at queue end. Not
+        the fire instant, which can be 0."""
         if not self._instants:
             return None
-        fire_us = self._instants[0]
-        bucket = self._buckets[fire_us]
-        fired = self._fired
-        action = bucket[fired]
-        if fired + 1 < len(bucket):
-            bucket[fired] = None  # the action is not kept alive once run
-            self._fired = fired + 1
-        else:
-            # Dropped before the action runs: whatever it schedules at this
-            # instant opens a new bucket, after everything that fired here.
-            heapq.heappop(self._instants)
-            del self._buckets[fire_us]
-            self._fired = 0
+        # Off the queue before any action runs: whatever one schedules at
+        # this instant opens a new bucket, which the next step runs.
+        fire_us = heapq.heappop(self._instants)
+        bucket = self._buckets.pop(fire_us)
         self.now_us = fire_us
-        action()
+        for i, action in enumerate(bucket):
+            bucket[i] = None  # the action is not kept alive once run
+            action()
         return True
 
 

@@ -227,6 +227,49 @@ def consumer_agent(recorder) -> ConsumerAgent:
                          reaction_us=REACTION_US)
 
 
+def uniform_rule(profile, ctx, rng) -> int:
+    """The price rule written out with `rng.uniform`, as the pricer must
+    compute it."""
+    factor = ctx.time_factor_curve[ctx.hour_of_day]
+    jitter = rng.uniform(-ctx.jitter_fraction, ctx.jitter_fraction) if ctx.jitter_fraction else 0.0
+    return max(1, round(profile.base_tariff_micro * factor * (1.0 + jitter)))
+
+
+class TestProviderPrices:
+    # Small tariffs meet the 1 micro-unit floor. Above 2**53 micro-units a
+    # float's last bit is worth more than one, so any other float formula
+    # shows in the price; an int factor keeps the tariff product an int
+    # until the rule makes it a float.
+    @given(
+        tariff=st.integers(min_value=1, max_value=10**6) | st.integers(2**53, 10**18),
+        hour=st.integers(min_value=0, max_value=23),
+        curve=st.lists(st.floats(min_value=1e-7, max_value=5.0) | st.integers(1, 5),
+                       min_size=24, max_size=24),
+        jitter=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+        seed=st.integers(min_value=0, max_value=2**32),
+        bids=st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bid_prices_are_the_rule_on_a_twin_stream(self, tariff, hour, curve, jitter, seed,
+                                                      bids):
+        pricing = ctx(factor_curve=tuple(curve), hour=hour, jitter=jitter)
+        profile = ProviderProfile(address=addr("p"), base_tariff_micro=tariff,
+                                  deploy_model=DeploymentModel())
+        recorder, rng = Recorder(), random.Random(seed)
+        agent = ProviderAgent(profile, recorder.schedule, recorder.submit, pricing, rng,
+                              REACTION_US)
+        twin, written_out = random.Random(seed), random.Random(seed)
+        for ann_id in range(bids):
+            agent.handle(ServiceAnnounced(ann_id, consumer().requirements), 0)
+            [(_, action)] = recorder.scheduled[ann_id:]
+            price = action.args[1].price_micro
+            assert type(price) is int and price >= 1
+            assert price == compute_bid_price(profile, pricing, twin)
+            assert price == uniform_rule(profile, pricing, written_out)
+            # Draw for draw: the agent's stream is where the twin's is.
+            assert rng.getstate() == twin.getstate() == written_out.getstate()
+
+
 class TestAgentsWithFakes:
     def test_consumer_chooses_after_its_reaction_delay(self):
         # The kernel hands a consumer only the bid that reaches min_offers.

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgefed import canonical
-from edgefed.contract import FederationContract, PlaceBid
+from edgefed.contract import FederationContract, OverlayEndpoint, PlaceBid, ServiceAnnouncement
 from edgefed.ledger import Address, Block, Transaction, block_digest
+from edgefed.metrics import FederationTrace
 from edgefed.simkernel import run_once
 from perfbench.reference_edgefed import canonical as reference
 
@@ -317,6 +318,28 @@ def test_per_transaction_records_are_built_through_their_slots():
         code = cls.__init__.__code__
         assert (code.co_name, code.co_filename) == \
             ("__init__", f"<canonical {cls.__module__}.{cls.__qualname__}>"), cls
+
+
+@pytest.mark.parametrize("cls", [FederationTrace, OverlayEndpoint, ServiceAnnouncement],
+                         ids=lambda cls: cls.__name__)
+def test_per_federation_records_are_built_through_their_slots(cls):
+    # One of each per federation: its trace, an endpoint, its announcement.
+    assert cls.__dataclass_params__.frozen and "__slots__" in cls.__dict__
+    code = cls.__init__.__code__
+    assert (code.co_name, code.co_filename) == \
+        ("__init__", f"<canonical {cls.__module__}.{cls.__qualname__}>")
+
+
+def test_federation_trace_repr_is_pinned():
+    # The benchmark's fingerprint hashes repr(trace).
+    trace = FederationTrace(0, 3, "ab" * 20, 0, 5_000_000, 10_000_000, 15_100_000, 20_000_000,
+                            20_500_000, True)
+    assert repr(trace) == (
+        "FederationTrace(run=0, ann_id=3, winner='" + "ab" * 20 + "', "
+        "announce_submitted_us=0, second_bid_finalized_us=5000000, "
+        "winner_finalized_us=10000000, deployment_started_us=15100000, "
+        "confirm_finalized_us=20000000, close_finalized_us=20500000, complete=True)"
+    )
 
 
 def test_address_prefix_encoding_matches_the_generated_one():

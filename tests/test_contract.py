@@ -29,6 +29,7 @@ from edgefed.contract import (
     ProviderChosen,
     SelfBid,
     ServiceAnnounced,
+    ServiceAnnouncement,
     ServiceRequirements,
     SlaTerms,
     WrongPhase,
@@ -36,7 +37,8 @@ from edgefed.contract import (
     select_winner,
     write_event_log,
 )
-from edgefed.ledger import StampedEvent
+from edgefed.ledger import Block, StampedEvent, Transaction
+from edgefed.metrics import FederationTrace
 from edgefed.units import to_micro
 
 from conftest import addr
@@ -196,6 +198,23 @@ class TestChooseProvider:
         contract.apply(P1, PlaceBid(ann_id=ann, price_micro=1), 2)
         event = contract.apply(CONSUMER, ChooseProvider(ann_id=ann), 3)
         assert event.winner == P1
+
+    @pytest.mark.parametrize("min_offers", [0, -1])
+    def test_a_genesis_below_one_offer_is_refused(self, min_offers):
+        # With no threshold, choosing on no bids would take the lowest of none.
+        with pytest.raises(ValueError, match="min_offers must be at least 1"):
+            fresh_contract(min_offers=min_offers)
+
+    def test_choosing_on_no_bids_is_rejected_in_its_block(self):
+        contract = fresh_contract(min_offers=1)
+        ann = announce(contract)
+        choose = Transaction(id=7, sender=CONSUMER, payload=ChooseProvider(ann_id=ann),
+                             submit_time_us=1, nonce=1)
+        block = Block(height=2, proposer=P1, timestamp_us=5, txs=(choose,), parent_digest="",
+                      finality_time_us=5)
+        assert contract.execute_block(block) == []
+        assert contract.rejected == [(7, "NotEnoughBids")]
+        assert contract.federations[ann].phase is Phase.OPEN
 
     def test_price_tie_goes_to_earlier_block(self):
         contract = fresh_contract()
@@ -417,11 +436,18 @@ EVENTS = [
     DeploymentConfirmed(ann_id=0, provider_endpoint=ENDPOINT),
     FederationClosed(ann_id=0),
 ]
+PER_FEDERATION = [
+    ENDPOINT,
+    ServiceAnnouncement(ann_id=0, consumer=CONSUMER, requirements=REQS,
+                        consumer_endpoint=ENDPOINT, announce_block=1),
+    FederationTrace(0, 0, P1.hex, 0, 5, 10, 10, 15, 15, True),
+]
 
 
 class TestRecords:
     """Calls, events and bids are made once per transaction: each is one
-    slotted allocation, and calls and events stay immutable."""
+    slotted allocation, and calls and events stay immutable. So do the
+    records made once per federation."""
 
     def test_every_call_is_covered(self):
         assert {type(call) for call in CALLS} == set(FederationContract._HANDLERS)
@@ -437,7 +463,8 @@ class TestRecords:
         ]
         assert [type(event) for event in made] == [type(event) for event in EVENTS]
 
-    @pytest.mark.parametrize("record", CALLS + EVENTS, ids=lambda record: type(record).__name__)
+    @pytest.mark.parametrize("record", CALLS + EVENTS + PER_FEDERATION,
+                             ids=lambda record: type(record).__name__)
     def test_fields_are_frozen_and_there_is_no_instance_dict(self, record):
         for f in dataclasses.fields(record):
             with pytest.raises(dataclasses.FrozenInstanceError):

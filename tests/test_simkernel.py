@@ -2,6 +2,7 @@ import gc
 import hashlib
 import heapq
 import itertools
+import weakref
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -62,6 +63,40 @@ class TestEventQueue:
         assert queue.step() is None
         assert queue.peek_time() is None
 
+    def test_an_action_scheduled_now_runs_in_the_next_step_after_its_bucket(self):
+        queue = EventQueue()
+        fired = []
+
+        def first():
+            fired.append("first")
+            queue.schedule(queue.now_us, lambda: fired.append("now"))
+
+        queue.schedule(to_micro(1.0), first)
+        queue.schedule(to_micro(1.0), lambda: fired.append("second"))
+        queue.schedule(to_micro(2.0), lambda: fired.append("later"))
+        assert queue.step() and fired == ["first", "second"]
+        assert queue.peek_time() == to_micro(1.0)
+        assert queue.step() and fired == ["first", "second", "now"]
+        assert queue.step() and fired[-1] == "later" and queue.step() is None
+
+    def test_each_action_is_released_before_the_next_in_its_bucket_runs(self):
+        queue = EventQueue()
+        refs, alive = [], []
+
+        class Action:
+            def __call__(self):
+                alive.append([ref() is not None for ref in refs])
+
+        for _ in range(4):
+            action = Action()
+            refs.append(weakref.ref(action))
+            queue.schedule(to_micro(1.0), action)
+        del action
+        queue.step()
+        assert alive == [[True, True, True, True], [False, True, True, True],
+                         [False, False, True, True], [False, False, False, True]]
+        assert not any(ref() for ref in refs)
+
     def test_clock_is_monotone(self):
         queue = EventQueue()
         seen = []
@@ -73,7 +108,8 @@ class TestEventQueue:
 
 
 class HeapModel:
-    """The event queue as one plain heap of (fire time, sequence, action)."""
+    """The event queue as one plain heap of (fire time, sequence, action),
+    stepped one instant at a time."""
 
     def __init__(self):
         self._heap = []
@@ -89,11 +125,16 @@ class HeapModel:
         return self._heap[0][0] if self._heap else None
 
     def step(self):
+        """Pop every entry due at the earliest instant, then run them; what
+        they schedule at that instant waits for the next step."""
         if not self._heap:
             return None
-        fire_us, _, action = heapq.heappop(self._heap)
-        self.now_us = fire_us
-        action()
+        self.now_us = self._heap[0][0]
+        due = []
+        while self._heap and self._heap[0][0] == self.now_us:
+            due.append(heapq.heappop(self._heap)[2])
+        for action in due:
+            action()
         return True
 
 
