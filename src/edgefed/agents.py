@@ -107,11 +107,6 @@ def pricer(base_tariff_micro: int, ctx: PricingContext, rng):
     return lambda: max(1, round(scale * (1.0 + (low + span * draw()))))
 
 
-def compute_bid_price(profile: ProviderProfile, ctx: PricingContext, rng) -> int:
-    """One price by the `pricer` rule, drawn from `rng`."""
-    return pricer(profile.base_tariff_micro, ctx, rng)()
-
-
 @dataclass
 class DeploymentJob:
     ann_id: int
@@ -218,8 +213,8 @@ class ConsumerAgent:
                                                CloseFederation(ann_id=event.ann_id), established))
 
 
-def soa_federate(consumer: ConsumerProfile, providers, rtt_us: int,
-                 ctx: PricingContext, rng_for_provider, run: int, ann_id: int) -> FederationTrace:
+def soa_federate(consumer: ConsumerProfile, providers, rtt_us: int, prices, run: int,
+                 ann_id: int) -> FederationTrace:
     """Direct request/response federation with pre-trusted peers.
 
     One parallel price-query round trip, a deployment request round trip, the
@@ -227,13 +222,14 @@ def soa_federate(consumer: ConsumerProfile, providers, rtt_us: int,
     attach. Requests are served concurrently, so totals do not depend on how
     many consumers federate at once. The trace is filed under `run` and
     `ann_id`, the consumer's index, since no announcement is made.
+
+    `prices` holds one `pricer` per provider, in the order of `providers`;
+    each is called once per federation, in that order.
     """
     if not providers:
         raise ProviderUnavailable("no registered providers to query")
-    priced = [
-        (compute_bid_price(p, ctx, rng_for_provider(p)), p.address, p)
-        for p in providers
-    ]
+    priced = [(price(), p.address, p)
+              for p, price in zip(providers, prices, strict=True)]
     price, _, winner = min(priced, key=lambda entry: (entry[0], entry[1]))
     query_done = rtt_us
     request_done = query_done + rtt_us

@@ -37,7 +37,6 @@ class SmallValidatorSetWarning(UserWarning):
     """QBFT with fewer than 4 validators cannot tolerate one Byzantine fault."""
 
 
-@canonical.fixed_bytes(20)
 @dataclass(frozen=True, order=True, slots=True)
 class Address:
     """20-byte participant identifier, ordered byte-lexicographically."""
@@ -212,10 +211,6 @@ class Ledger:
         return tx
 
     # -- blocks ------------------------------------------------------------
-
-    @property
-    def height(self) -> int:
-        return len(self.chain) - 1
 
     def next_block_time_us(self) -> int:
         return len(self.chain) * self.consensus.block_period_us

@@ -53,6 +53,7 @@ from .agents import (
     ProviderAgent,
     ProviderProfile,
     ConsumerProfile,
+    pricer,
     soa_federate,
 )
 from .contract import (
@@ -205,7 +206,7 @@ class AgentParams:
         ctx = self.pricing
         if not math.isfinite(max(self.tariffs_micro) * ctx.time_factor_curve[ctx.hour_of_day]
                              * (1 + ctx.jitter_fraction)):
-            # The highest price a bid can draw: compute_bid_price cannot round infinity.
+            # The highest price a bid can draw: a pricer cannot round infinity.
             raise ConfigInvalid("agents.tariffs x time_factor_curve[hour_of_day] x "
                                 "(1 + jitter_fraction) must be finite")
         if not 0 <= self.abstain_probability <= 1:
@@ -705,13 +706,13 @@ class _ChainRun:
 def _run_soa(cfg: ScenarioConfig, run_index: int, cell: Cell) -> RunResult:
     rngs = SeededRng(cfg.seed)
     ctx = cfg.agents.pricing
-    streams = {
-        profile.address: rngs.stream(f"pricing/run{run_index}/provider{rank}")
+    prices = [
+        pricer(profile.base_tariff_micro, ctx,
+               rngs.stream(f"pricing/run{run_index}/provider{rank}"))
         for rank, profile in enumerate(cell.provider_profiles)
-    }
+    ]
     traces = [
-        soa_federate(consumer, cell.provider_profiles, cfg.agents.rtt_us, ctx,
-                     lambda p: streams[p.address], run_index, i)
+        soa_federate(consumer, cell.provider_profiles, cfg.agents.rtt_us, prices, run_index, i)
         for i, consumer in enumerate(cell.consumer_profiles)
     ]
     return RunResult(run_index=run_index, traces=traces)

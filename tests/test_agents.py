@@ -13,7 +13,7 @@ from edgefed.agents import (
     ProviderAgent,
     ProviderProfile,
     ProviderUnavailable,
-    compute_bid_price,
+    pricer,
     soa_federate,
 )
 from edgefed.contract import (
@@ -61,25 +61,22 @@ def ctx(factor_curve=FLAT_CURVE, hour=0, jitter=0.0) -> PricingContext:
 
 class TestPricing:
     def test_identity_factors(self):
-        price = compute_bid_price(provider(tariff=0.10), ctx(), random.Random(0))
+        price = pricer(to_micro(0.10), ctx(), random.Random(0))()
         assert price == to_micro(0.100000)
 
     def test_time_factor_multiplies(self):
         curve = (1.5,) + FLAT_CURVE[1:]
-        price = compute_bid_price(provider(tariff=0.10), ctx(factor_curve=curve), random.Random(0))
+        price = pricer(to_micro(0.10), ctx(factor_curve=curve), random.Random(0))()
         assert price == to_micro(0.150000)
 
     def test_thousand_seeded_draws_stay_inside_jitter_band(self):
-        rng = random.Random(99)
-        profile = provider(tariff=1.0)
+        price = pricer(to_micro(1.0), ctx(jitter=0.1), random.Random(99))
         bounds = (to_micro(0.9), to_micro(1.1))
         for _ in range(1000):
-            price = compute_bid_price(profile, ctx(jitter=0.1), rng)
-            assert bounds[0] <= price <= bounds[1]
+            assert bounds[0] <= price() <= bounds[1]
 
     def test_prices_are_strictly_positive(self):
-        tiny = provider(tariff=0.0000004)
-        price = compute_bid_price(tiny, ctx(jitter=0.1), random.Random(1))
+        price = pricer(to_micro(0.0000004), ctx(jitter=0.1), random.Random(1))()
         assert price >= 1
 
     def test_curve_must_have_24_entries(self):
@@ -94,14 +91,8 @@ class TestPricing:
     )
     @settings(max_examples=150, deadline=None)
     def test_price_positivity_property(self, tariff, factor, jitter, seed):
-        profile = ProviderProfile(
-            address=addr("p"), base_tariff_micro=tariff,
-            deploy_model=DeploymentModel(),
-        )
         curve = (factor,) + FLAT_CURVE[1:]
-        price = compute_bid_price(
-            profile, ctx(factor_curve=curve, jitter=jitter), random.Random(seed)
-        )
+        price = pricer(tariff, ctx(factor_curve=curve, jitter=jitter), random.Random(seed))()
         assert price > 0
 
 
@@ -259,12 +250,13 @@ class TestProviderPrices:
         agent = ProviderAgent(profile, recorder.schedule, recorder.submit, pricing, rng,
                               REACTION_US)
         twin, written_out = random.Random(seed), random.Random(seed)
+        twin_price = pricer(tariff, pricing, twin)
         for ann_id in range(bids):
             agent.handle(ServiceAnnounced(ann_id, consumer().requirements), 0)
             [(_, action)] = recorder.scheduled[ann_id:]
             price = action.args[1].price_micro
             assert type(price) is int and price >= 1
-            assert price == compute_bid_price(profile, pricing, twin)
+            assert price == twin_price()
             assert price == uniform_rule(profile, pricing, written_out)
             # Draw for draw: the agent's stream is where the twin's is.
             assert rng.getstate() == twin.getstate() == written_out.getstate()
@@ -339,16 +331,15 @@ class TestAgentsWithFakes:
 class TestSoaBaseline:
     def test_component_sum(self):
         trace = soa_federate(
-            consumer(), [provider()], rtt_us=to_micro(0.05), ctx=ctx(),
-            rng_for_provider=lambda p: random.Random(0), run=0, ann_id=0,
+            consumer(), [provider()], rtt_us=to_micro(0.05),
+            prices=[pricer(to_micro(0.10), ctx(), random.Random(0))], run=0, ann_id=0,
         )
         parts = decompose(trace)
         assert parts.total_us == to_micro(0.05 + 0.05 + 2.0 + 0.05 + 0.5)
 
     def test_no_providers_is_an_error(self):
         with pytest.raises(ProviderUnavailable):
-            soa_federate(consumer(), [], rtt_us=1, ctx=ctx(), rng_for_provider=None,
-                         run=0, ann_id=0)
+            soa_federate(consumer(), [], rtt_us=1, prices=[], run=0, ann_id=0)
 
     def test_zero_jitter_selection_matches_blockchain_winner(self):
         # Same tariffs, no jitter: the lowest-price provider must win on both
