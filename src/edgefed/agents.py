@@ -8,12 +8,13 @@ baseline performs the same lowest-price federation over direct request and
 response exchanges with pre-trusted peers, with no block-period waits; its
 providers serve requests concurrently, so no cross-consumer queueing.
 
-Agents act on the simulation only through two callables they are built
-with: the kernel's `schedule(fire_us, action)` and the ledger's
-`submit(sender, call, now_us)`. Each reaction schedules
+Agents act on the simulation only through what they are built with: the
+kernel's `schedule(fire_us, action)`, the ledger's `submit(sender, call,
+now_us)` and a provider's `price()` for the run. Each reaction schedules
 `partial(submit, address, call, t)` to fire at its submit instant t, or, for
-a deployment, `start_deployment` at the instant it starts. An announcement
-is itself an action the kernel schedules: `announce(now_us)` submits at once.
+a deployment, `start_deployment` at the instant it starts. A consumer's
+profile holds its announcement call, built once per scenario; the kernel
+schedules `announce(now_us)`, which submits it at once.
 """
 
 from dataclasses import dataclass
@@ -30,8 +31,6 @@ from .contract import (
     PlaceBid,
     ProviderChosen,
     ServiceAnnounced,
-    ServiceRequirements,
-    SlaTerms,
 )
 from .ledger import Address
 from .metrics import FederationTrace
@@ -80,13 +79,12 @@ class ProviderProfile:
     address: Address
     base_tariff_micro: int
     deploy_model: DeploymentModel
-    abstain: bool = False
 
 
 @dataclass(frozen=True)
 class ConsumerProfile:
     address: Address
-    requirements: ServiceRequirements
+    announcement: AnnounceService
     attach_time_us: int
 
 
@@ -142,16 +140,16 @@ class DeploymentQueue:
 class ProviderAgent:
     """Event-driven provider: bids on announcements, deploys on wins.
 
-    `handle` receives every announcement and only the selections this
-    provider won: the kernel decides which agent acts on each event.
+    `handle` receives announcements only in a run it bids in, and only the
+    selections this provider won: the kernel decides which agent acts on
+    each event. `price` is the provider's `pricer` for the run.
     """
 
-    def __init__(self, profile: ProviderProfile, schedule, submit, pricing_ctx, pricing_rng,
-                 reaction_us: int):
+    def __init__(self, profile: ProviderProfile, schedule, submit, price, reaction_us: int):
         self.profile = profile
         self.schedule = schedule
         self.submit = submit
-        self.price = pricer(profile.base_tariff_micro, pricing_ctx, pricing_rng)
+        self.price = price
         self.reaction_us = reaction_us
         self.queue = DeploymentQueue(profile.deploy_model)
 
@@ -159,9 +157,8 @@ class ProviderAgent:
         react_us = observed_us + self.reaction_us
         kind = type(event)
         if kind is ServiceAnnounced:
-            if not self.profile.abstain:
-                bid = PlaceBid(event.ann_id, self.price())
-                self.schedule(react_us, partial(self.submit, self.profile.address, bid, react_us))
+            bid = PlaceBid(event.ann_id, self.price())
+            self.schedule(react_us, partial(self.submit, self.profile.address, bid, react_us))
         elif kind is ProviderChosen:
             self.schedule(react_us, partial(self.start_deployment, event.ann_id, react_us))
 
@@ -176,31 +173,21 @@ class ProviderAgent:
 class ConsumerAgent:
     """Announces a service extension, then drives selection, attach and close.
 
-    `handle` receives only the events of this consumer's own federation that
-    it acts on: the bid that reaches the contract's minimum offers and the
-    deployment confirmation. It keeps no per-federation state: each reaction
-    takes its announcement id from the event, and the timeline is read off
-    the chain.
+    `announce` submits the profile's announcement call. `handle` receives
+    only the events of this consumer's own federation that it acts on: the
+    bid that reaches the contract's minimum offers and the deployment
+    confirmation. It keeps no per-federation state: each reaction takes its
+    announcement id from the event, and the timeline is read off the chain.
     """
 
-    def __init__(self, profile: ConsumerProfile, schedule, submit, endpoint: OverlayEndpoint,
-                 sla: SlaTerms, deposit_micro: int, reaction_us: int):
+    def __init__(self, profile: ConsumerProfile, schedule, submit, reaction_us: int):
         self.profile = profile
         self.schedule = schedule
         self.submit = submit
-        self.endpoint = endpoint
-        self.sla = sla
-        self.deposit_micro = deposit_micro
         self.reaction_us = reaction_us
 
     def announce(self, now_us: int) -> None:
-        announcement = AnnounceService(
-            requirements=self.profile.requirements,
-            consumer_endpoint=self.endpoint,
-            sla=self.sla,
-            deposit_micro=self.deposit_micro,
-        )
-        self.submit(self.profile.address, announcement, now_us)
+        self.submit(self.profile.address, self.profile.announcement, now_us)
 
     def handle(self, event, observed_us: int) -> None:
         if isinstance(event, BidPlaced):

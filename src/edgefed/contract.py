@@ -286,7 +286,7 @@ class FederationContract:
     # -- handlers ------------------------------------------------------------
 
     def _announce(self, sender, call: AnnounceService, height):
-        if sender not in self.operators:
+        if sender.value not in self._operator_values:
             raise NotRegistered(f"{sender} is not a registered operator")
         if call.deposit_micro < call.sla.penalty_micro:
             raise DepositBelowPenalty(

@@ -163,6 +163,9 @@ Block.parent_digest = _ParentDigest()
 
 @dataclass(frozen=True)
 class StampedEvent:
+    """A contract event with its block's height and finality, the instant
+    before which nothing may act on it."""
+
     block_height: int
     finality_time_us: int
     event: object
@@ -237,15 +240,6 @@ class Ledger:
         )
         self.chain.append(block)
         return block
-
-    # -- events --------------------------------------------------------------
-
-    def publish_events(self, block: Block, events) -> list[StampedEvent]:
-        """Stamp a block's events, in tx order, with its finality time.
-
-        Nothing may act on an event before that instant.
-        """
-        return [StampedEvent(block.height, block.finality_time_us, ev) for ev in events]
 
     # -- export --------------------------------------------------------------
 

@@ -15,12 +15,12 @@ with its height and finality only when `RunResult.stamped_events` is read.
 
 Finalized contract events reach agents through one per-run routing table,
 not by broadcast, and only the agents that act on an event receive it: an
-announcement goes to every provider, the bid that reaches the contract's
-minimum offers and the deployment confirmation to the federation's
-consumer, and the selection to the winner. Events no agent acts on go to
-none. Providers are called in list order, which is the order broadcast
-used; that order fixes the event queue's schedule order and so every
-output byte.
+announcement goes to every provider that bids in the run, the bid that
+reaches the contract's minimum offers and the deployment confirmation to
+the federation's consumer, and the selection to the winner. Events no agent
+acts on go to none. Providers are called in list order, which is the order
+broadcast used; that order fixes the event queue's schedule order and so
+every output byte.
 
 Agents keep only what they act on. Each federation's trace is read off the
 run's chain: its steps are recorded as each block's events are delivered,
@@ -33,8 +33,9 @@ submission is scheduled to fire at its own submit instant and carries that
 instant, so no agent reads the clock.
 
 Every run of one config starts from the same immutable `Cell`: the
-participants, their profiles, the contract genesis and the consensus config.
-`run_scenario` builds it once for all its runs.
+consumer profiles with their announcement calls, the provider profiles, the
+contract genesis and the consensus config. `run_scenario` builds it once for
+all its runs; each run draws its providers' prices and abstentions.
 """
 
 import gc
@@ -69,7 +70,7 @@ from .contract import (
     ServiceRequirements,
     SlaTerms,
 )
-from .ledger import Address, Algorithm, ConsensusConfig, Ledger
+from .ledger import Address, Algorithm, ConsensusConfig, Ledger, StampedEvent
 from .metrics import FederationTrace
 from .units import to_micro
 
@@ -462,7 +463,12 @@ def build_profiles(cfg: ScenarioConfig, participants: Participants):
     consumer_profiles = tuple(
         ConsumerProfile(
             address=addr,
-            requirements=ServiceRequirements(app_id=f"app-c{i}", replicas=1, bandwidth_mbps=100),
+            announcement=AnnounceService(
+                requirements=ServiceRequirements(app_id=f"app-c{i}", replicas=1, bandwidth_mbps=100),
+                consumer_endpoint=OverlayEndpoint(ip=f"10.{i % 250}.0.1", udp_port=4789, vni=100 + i),
+                sla=a.sla,
+                deposit_micro=a.deposit_micro,
+            ),
             attach_time_us=a.attach_time_us,
         )
         for i, addr in enumerate(participants.consumers)
@@ -507,11 +513,10 @@ def build_consensus(cfg: ScenarioConfig, participants: Participants) -> Consensu
 @dataclass(frozen=True)
 class Cell:
     """What every run of one config shares, built once by `build_cell`: the
-    participants, their profiles and, for a chain variant, the contract
+    consumer and provider profiles and, for a chain variant, the contract
     genesis and the consensus config. All of it is immutable; each run makes
     its own seeded streams, ledger, contract, kernel and agents from it."""
 
-    participants: Participants
     consumer_profiles: tuple
     provider_profiles: tuple
     genesis: ContractGenesis | None = None  # None for soa
@@ -522,8 +527,8 @@ def build_cell(cfg: ScenarioConfig) -> Cell:
     participants = build_participants(cfg)
     consumer_profiles, provider_profiles = build_profiles(cfg, participants)
     if cfg.variant == "soa":
-        return Cell(participants, consumer_profiles, provider_profiles)
-    return Cell(participants, consumer_profiles, provider_profiles,
+        return Cell(consumer_profiles, provider_profiles)
+    return Cell(consumer_profiles, provider_profiles,
                 build_genesis(cfg, participants), build_consensus(cfg, participants))
 
 
@@ -542,9 +547,10 @@ class RunResult:
 
     @property
     def stamped_events(self) -> list:
-        """Every contract event, in block order, stamped by the ledger."""
-        return [stamped for block, events in self.published
-                for stamped in self.ledger.publish_events(block, events)]
+        """Every contract event, in block order and within a block in tx
+        order, stamped with its block's height and finality."""
+        return [StampedEvent(block.height, block.finality_time_us, event)
+                for block, events in self.published for event in events]
 
 
 # The trace fields a chain gives a federation, none of them final yet.
@@ -561,39 +567,24 @@ class _ChainRun:
         self.contract = FederationContract(self.genesis)
         self.kernel = EventQueue()
         self.published = []
-        rngs = SeededRng(cfg.seed)
-        ctx = cfg.agents.pricing
-        abstain_prob = cfg.agents.abstain_probability
-
-        self.providers = []
-        for rank, profile in enumerate(cell.provider_profiles):
-            if abstain_prob > 0:
-                draw = rngs.stream(f"abstain/run{run_index}/provider{rank}").random()
-                profile = replace(profile, abstain=draw < abstain_prob)
-            self.providers.append(
-                ProviderAgent(
-                    profile=profile,
-                    schedule=self.kernel.schedule,
-                    submit=self.ledger.submit,
-                    pricing_ctx=ctx,
-                    pricing_rng=rngs.stream(f"pricing/run{run_index}/provider{rank}"),
-                    reaction_us=cfg.agents.reaction_delay_us,
-                )
-            )
-        self.consumers = [
-            ConsumerAgent(
-                profile=profile,
-                schedule=self.kernel.schedule,
-                submit=self.ledger.submit,
-                endpoint=OverlayEndpoint(ip=f"10.{i % 250}.0.1", udp_port=4789, vni=100 + i),
-                sla=cfg.agents.sla,
-                deposit_micro=cfg.agents.deposit_micro,
-                reaction_us=cfg.agents.reaction_delay_us,
-            )
-            for i, profile in enumerate(cell.consumer_profiles)
+        schedule, submit = self.kernel.schedule, self.ledger.submit
+        reaction_us, abstain = cfg.agents.reaction_delay_us, cfg.agents.abstain_probability
+        self.providers = [
+            ProviderAgent(profile, schedule, submit, price, reaction_us)
+            for profile, price in zip(cell.provider_profiles, _pricers(cfg, run_index, cell))
         ]
+        self.consumers = [ConsumerAgent(profile, schedule, submit, reaction_us)
+                          for profile in cell.consumer_profiles]
         # Routing tables for _deliver; _consumer_by_ann fills as announcements
-        # are delivered.
+        # are delivered. An announcement goes only to the providers that bid
+        # in this run: each sits it out if its draw falls below `abstain`.
+        self._bidders = self.providers
+        if abstain > 0:
+            rngs = SeededRng(cfg.seed)
+            self._bidders = [
+                provider for rank, provider in enumerate(self.providers)
+                if rngs.stream(f"abstain/run{run_index}/provider{rank}").random() >= abstain
+            ]
         self._agent_by_address = {a.profile.address: a for a in (*self.providers, *self.consumers)}
         self._consumer_by_ann = {}
         # Each consumer's trace fields, filled in by _deliver. They are made
@@ -673,7 +664,7 @@ class _ChainRun:
                     submitted = {tx.sender: tx.submit_time_us for tx in block.txs
                                  if type(tx.payload) is AnnounceService}
                 steps[consumer].update(ann_id=event.ann_id, announce_submitted_us=submitted[sender])
-                for provider in self.providers:
+                for provider in self._bidders:
                     provider.handle(event, final_us)
             elif kind is ProviderChosen:
                 steps[consumer_by_ann[event.ann_id]].update(winner=event.winner.hex,
@@ -703,14 +694,17 @@ class _ChainRun:
         ]
 
 
-def _run_soa(cfg: ScenarioConfig, run_index: int, cell: Cell) -> RunResult:
+def _pricers(cfg: ScenarioConfig, run_index: int, cell: Cell) -> list:
+    """Each provider's `pricer` for one run, in profile order, drawing from
+    the provider's own stream for that run; both variants price through it."""
     rngs = SeededRng(cfg.seed)
-    ctx = cfg.agents.pricing
-    prices = [
-        pricer(profile.base_tariff_micro, ctx,
-               rngs.stream(f"pricing/run{run_index}/provider{rank}"))
-        for rank, profile in enumerate(cell.provider_profiles)
-    ]
+    return [pricer(profile.base_tariff_micro, cfg.agents.pricing,
+                   rngs.stream(f"pricing/run{run_index}/provider{rank}"))
+            for rank, profile in enumerate(cell.provider_profiles)]
+
+
+def _run_soa(cfg: ScenarioConfig, run_index: int, cell: Cell) -> RunResult:
+    prices = _pricers(cfg, run_index, cell)
     traces = [
         soa_federate(consumer, cell.provider_profiles, cfg.agents.rtt_us, prices, run_index, i)
         for i, consumer in enumerate(cell.consumer_profiles)

@@ -17,6 +17,7 @@ from edgefed.agents import (
     soa_federate,
 )
 from edgefed.contract import (
+    AnnounceService,
     BidPlaced,
     ChooseProvider,
     CloseFederation,
@@ -30,27 +31,30 @@ from edgefed.contract import (
     SlaTerms,
 )
 from edgefed.metrics import decompose
-from edgefed.simkernel import run_once
+from edgefed.simkernel import _ChainRun, build_cell, run_once
 from edgefed.units import to_micro
 
 from conftest import addr, scenario
 
 FLAT_CURVE = tuple([1.0] * 24)
+REQS = ServiceRequirements(app_id="app", replicas=1, bandwidth_mbps=100)
+ENDPOINT = OverlayEndpoint(ip="10.0.0.1", udp_port=4789, vni=100)
 
 
-def provider(tag="p", tariff=0.10, model=None, abstain=False) -> ProviderProfile:
+def provider(tag="p", tariff=0.10, model=None) -> ProviderProfile:
     return ProviderProfile(
         address=addr(tag),
         base_tariff_micro=to_micro(tariff),
         deploy_model=model or DeploymentModel(),
-        abstain=abstain,
     )
 
 
 def consumer(tag="c", attach=0.5) -> ConsumerProfile:
     return ConsumerProfile(
         address=addr(tag),
-        requirements=ServiceRequirements(app_id="app", replicas=1, bandwidth_mbps=100),
+        announcement=AnnounceService(requirements=REQS, consumer_endpoint=ENDPOINT,
+                                     sla=SlaTerms.from_floats(0.99, 50.0, 2.0),
+                                     deposit_micro=to_micro(10.0)),
         attach_time_us=to_micro(attach),
     )
 
@@ -204,18 +208,16 @@ class Recorder:
 
 
 REACTION_US = to_micro(0.1)
-ENDPOINT = OverlayEndpoint(ip="10.0.0.1", udp_port=4789, vni=100)
 
 
-def provider_agent(recorder, profile=None) -> ProviderAgent:
-    return ProviderAgent(profile or provider(), recorder.schedule, recorder.submit, ctx(),
-                         random.Random(0), REACTION_US)
+def provider_agent(recorder) -> ProviderAgent:
+    profile = provider()
+    return ProviderAgent(profile, recorder.schedule, recorder.submit,
+                         pricer(profile.base_tariff_micro, ctx(), random.Random(0)), REACTION_US)
 
 
 def consumer_agent(recorder) -> ConsumerAgent:
-    return ConsumerAgent(consumer(), recorder.schedule, recorder.submit, ENDPOINT,
-                         SlaTerms.from_floats(0.99, 50.0, 2.0), to_micro(10.0),
-                         reaction_us=REACTION_US)
+    return ConsumerAgent(consumer(), recorder.schedule, recorder.submit, reaction_us=REACTION_US)
 
 
 def uniform_rule(profile, ctx, rng) -> int:
@@ -247,12 +249,12 @@ class TestProviderPrices:
         profile = ProviderProfile(address=addr("p"), base_tariff_micro=tariff,
                                   deploy_model=DeploymentModel())
         recorder, rng = Recorder(), random.Random(seed)
-        agent = ProviderAgent(profile, recorder.schedule, recorder.submit, pricing, rng,
-                              REACTION_US)
+        agent = ProviderAgent(profile, recorder.schedule, recorder.submit,
+                              pricer(tariff, pricing, rng), REACTION_US)
         twin, written_out = random.Random(seed), random.Random(seed)
         twin_price = pricer(tariff, pricing, twin)
         for ann_id in range(bids):
-            agent.handle(ServiceAnnounced(ann_id, consumer().requirements), 0)
+            agent.handle(ServiceAnnounced(ann_id, REQS), 0)
             [(_, action)] = recorder.scheduled[ann_id:]
             price = action.args[1].price_micro
             assert type(price) is int and price >= 1
@@ -275,15 +277,27 @@ class TestAgentsWithFakes:
                                        ChooseProvider(ann_id=4), choose_us)]
 
     def test_abstaining_provider_schedules_nothing(self):
-        recorder = Recorder()
-        agent = provider_agent(recorder, provider(abstain=True))
-        agent.handle(ServiceAnnounced(0, consumer().requirements), to_micro(5.0))
-        assert recorder.scheduled == []
+        # A provider that abstains in a run is handed no announcement, so it
+        # never schedules a bid; the same run without abstention does.
+        from dataclasses import replace
+
+        for abstain_probability, bids in ((1.0, 0), (0.0, 3)):
+            cfg = scenario(n=4, runs=1)  # (3 consumers, 1 provider)
+            cfg = replace(cfg, agents=replace(cfg.agents, abstain_probability=abstain_probability))
+            run, recorder = _ChainRun(cfg, 0, build_cell(cfg)), Recorder()
+            [agent] = run.providers
+            agent.schedule = recorder.schedule
+            run.execute()
+            placed = [action.args[1] for _, action in recorder.scheduled
+                      if isinstance(action.args[1], PlaceBid)]
+            assert len(placed) == bids
+            if not bids:
+                assert recorder.scheduled == []
 
     def test_bidding_provider_submits_at_its_reaction_instant(self):
         recorder = Recorder()
         agent = provider_agent(recorder)
-        agent.handle(ServiceAnnounced(0, consumer().requirements), to_micro(5.0))
+        agent.handle(ServiceAnnounced(0, REQS), to_micro(5.0))
         recorder.fire()
         submit_us = to_micro(5.0) + REACTION_US
         assert recorder.submitted == [(submit_us, agent.profile.address,
@@ -325,7 +339,7 @@ class TestAgentsWithFakes:
         agent.announce(to_micro(3.0))
         [(_, sender, call, now_us)] = recorder.submitted
         assert (sender, now_us) == (agent.profile.address, to_micro(3.0))
-        assert call.consumer_endpoint == ENDPOINT and recorder.scheduled == []
+        assert call is agent.profile.announcement and recorder.scheduled == []
 
 
 class TestSoaBaseline:

@@ -6,6 +6,18 @@ import pytest
 
 from edgefed import ledger as ledger_module
 from edgefed.canonical import digest
+from edgefed.contract import (
+    AnnounceService,
+    BidPlaced,
+    ChooseProvider,
+    CloseFederation,
+    ConfirmDeployment,
+    DeploymentConfirmed,
+    FederationClosed,
+    PlaceBid,
+    ProviderChosen,
+    ServiceAnnounced,
+)
 from edgefed.ledger import (
     Address,
     Algorithm,
@@ -14,7 +26,6 @@ from edgefed.ledger import (
     Ledger,
     LedgerError,
     SmallValidatorSetWarning,
-    StampedEvent,
     Transaction,
     block_digest,
     finality_delay_us,
@@ -261,33 +272,45 @@ class TestFinality:
             clique_config([addr("v0"), addr("v1"), addr("v0")])
 
 
+def stamped_run(n=10, variant="clique"):
+    """One seed-7 run (no call rejected) and its stamped events."""
+    result = run_once(scenario(n=n, variant=variant), 0)
+    assert result.contract.rejected == []
+    return result, result.stamped_events
+
+
+# The event each call yields when the contract accepts it.
+_YIELDS = {AnnounceService: ServiceAnnounced, PlaceBid: BidPlaced, ChooseProvider: ProviderChosen,
+           ConfirmDeployment: DeploymentConfirmed, CloseFederation: FederationClosed}
+
+
 class TestEventStream:
     def test_clique_events_observable_at_production_time(self):
-        ledger = make_ledger(algorithm=Algorithm.CLIQUE)
-        ledger.submit(addr("s"), Ping(), 0)
-        block = ledger.produce_block(to_micro(5.0))
-        stamped = ledger.publish_events(block, ["ev"])
+        result, stamped = stamped_run(variant="clique")
         assert stamped[0].finality_time_us == to_micro(5.0)
+        assert all(se.finality_time_us == result.blocks[se.block_height].timestamp_us
+                   for se in stamped)
 
     def test_qbft_events_observable_after_finality_delay(self):
-        ledger = make_ledger(4, algorithm=Algorithm.QBFT)
-        block = ledger.produce_block(to_micro(5.0))
-        stamped = ledger.publish_events(block, ["ev"])
+        result, stamped = stamped_run(n=15, variant="qbft")  # four validators
         assert stamped[0].finality_time_us == to_micro(5.25)
+        assert all(se.finality_time_us == result.blocks[se.block_height].timestamp_us
+                   + to_micro(0.25) for se in stamped)
 
     def test_same_block_events_delivered_in_tx_order(self):
-        ledger = make_ledger()
-        block = ledger.produce_block(to_micro(5.0))
-        stamped = ledger.publish_events(block, ["first", "second"])
-        assert [se.event for se in stamped] == ["first", "second"]
+        result, stamped = stamped_run()
+        for block in result.blocks:
+            events = [se.event for se in stamped if se.block_height == block.height]
+            assert [type(ev) for ev in events] == [_YIELDS[type(tx.payload)] for tx in block.txs]
+            assert [ev.ann_id for ev in events if type(ev) is not ServiceAnnounced] == [
+                tx.payload.ann_id for tx in block.txs if type(tx.payload) is not AnnounceService]
 
     def test_block_order_preserved_across_blocks(self):
-        ledger = make_ledger()
-        b1 = ledger.produce_block(to_micro(5.0))
-        b2 = ledger.produce_block(to_micro(10.0))
-        stamped = ledger.publish_events(b1, ["a"]) + ledger.publish_events(b2, ["b"])
-        assert [se.block_height for se in stamped] == [1, 2]
-        assert [se.event for se in stamped] == ["a", "b"]
+        result, stamped = stamped_run()
+        heights = [se.block_height for se in stamped]
+        assert heights == sorted(heights)
+        assert set(heights) == {block.height for block in result.blocks if block.txs}
+        assert len(set(heights)) > 1
 
 
 class TestChainDump:

@@ -477,28 +477,39 @@ class TestRoutedDelivery:
         cfg = scenario(n=10, variant=variant, concurrency_mode=mode)
         cell = build_cell(cfg)
         shared = replace(cell, consumer_profiles=tuple(
-            replace(p, requirements=replace(p.requirements, app_id="app-shared"))
+            replace(p, announcement=replace(p.announcement, requirements=replace(
+                p.announcement.requirements, app_id="app-shared")))
             for p in cell.consumer_profiles))
         traces = run_once(cfg, 0, shared).traces
         assert [asdict(t) for t in traces] == [asdict(t) for t in run_once(cfg, 0, cell).traces]
         assert all(t.complete for t in traces)
 
     # Per-run handle calls: per federation, the announcement reaches every
-    # provider, the bid reaching min_offers and the confirmation reach the
-    # consumer, and the selection reaches only the winner. At N=30 (24
-    # consumers, 6 providers) that is 24 x (6 + 1 + 1 + 1) = 216; at N=10 in
-    # single mode (8 consumers, 2 providers) it is 8 x (2 + 1 + 1 + 1) = 40.
-    # Broadcast made 7,200 at N=30. The digests were recorded from broadcast
-    # delivery; routing must not change a byte of the traces.
-    @pytest.mark.parametrize("n, variant, mode, handle_calls, csv_sha256", [
-        (30, "clique", None, 216, "a3ddfe9b045fd3110cde18c703810da5c0b211fbe99744b82a019719d0207961"),
-        (30, "qbft", None, 216, "94d7c49147ccd1ca7ac312933fdae3de3150c7f0cae0c93feb81ff2b3afa90f5"),
-        (10, "qbft", "single", 40, "6b3ac6d969fad474365a82cc93c873db71adcd08dee859b064a3ded66e08678b"),
+    # provider that bids in the run, the bid reaching min_offers and the
+    # confirmation reach the consumer, and the selection reaches only the
+    # winner. At N=30 (24 consumers, 6 providers) that is 24 x (6 + 1 + 1 + 1)
+    # = 216; at N=10 in single mode (8 consumers, 2 providers) it is
+    # 8 x (2 + 1 + 1 + 1) = 40. With abstention at N=30, seed 7, one provider
+    # sits the run out: 24 x (5 + 1 + 1 + 1) = 192. Broadcast made 7,200 at
+    # N=30. The digests were recorded from broadcast delivery, and the
+    # abstention row's from abstainers that received announcements and
+    # ignored them; routing must not change a byte of the traces.
+    @pytest.mark.parametrize("n, variant, mode, abstain_probability, handle_calls, csv_sha256", [
+        (30, "clique", None, 0.0, 216,
+         "a3ddfe9b045fd3110cde18c703810da5c0b211fbe99744b82a019719d0207961"),
+        (30, "qbft", None, 0.0, 216,
+         "94d7c49147ccd1ca7ac312933fdae3de3150c7f0cae0c93feb81ff2b3afa90f5"),
+        (10, "qbft", "single", 0.0, 40,
+         "6b3ac6d969fad474365a82cc93c873db71adcd08dee859b064a3ded66e08678b"),
+        (30, "clique", None, 0.3, 192,
+         "e978c90ae2b1f735832c54c48f1616d950ba7552b42fefd7485f05211597bc16"),
     ])
     def test_routing_keeps_traces_and_bounds_handle_calls(
-            self, tmp_path, monkeypatch, n, variant, mode, handle_calls, csv_sha256):
+            self, tmp_path, monkeypatch, n, variant, mode, abstain_probability, handle_calls,
+            csv_sha256):
         doc = {"scenario_id": "route", "topology": {"n_systems": n},
-               "consensus": {"algorithm": variant}, "runs": 1, "seed": 7}
+               "consensus": {"algorithm": variant}, "runs": 1, "seed": 7,
+               "agents": {"abstain_probability": abstain_probability}}
         if mode:
             doc["concurrency_mode"] = mode
         cfg = parse_config(doc)
