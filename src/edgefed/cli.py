@@ -150,7 +150,7 @@ def _write_sweep_summary(base, out_dir: Path, summary_rows) -> None:
         row += [f"{stats.segments[name].mean_s:.6f}" for name in metrics.SEGMENTS]
         row += [f"{stats.segments['total'].variance_s2:.6f}"]
         lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def _print_sweep_table(summary_rows) -> None:
@@ -181,7 +181,8 @@ def _cmd_compare(args) -> int:
         "soa_file": str(args.soa_csv),
         "per_n": report,
     }
-    report_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    report_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8",
+                           newline="\n")
     return EXIT_OK
 
 

@@ -442,7 +442,7 @@ def event_log_lines(stamped_events) -> list[dict]:
 
 def write_event_log(stamped_events, path) -> None:
     """JSON lines, one contract event per line in finality order."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in event_log_lines(stamped_events):
             fh.write(json.dumps(line, sort_keys=True))
             fh.write("\n")

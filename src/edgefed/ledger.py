@@ -257,6 +257,6 @@ class Ledger:
 
 
 def write_chain_dump(ledger: Ledger, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(ledger.chain_dump(), fh, indent=2)
         fh.write("\n")

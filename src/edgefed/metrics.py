@@ -6,15 +6,19 @@ exactly and keeps exports lossless. Aggregates use population variance (noted
 in output metadata).
 
 One helper, `_segments`, turns a complete trace into its six integer segments;
-`decompose`, both writers and `aggregate` all read them from it. A row is a
-tuple of strings in `CSV_COLUMNS` order, written as CSV by `csv.writer` and
-as JSON lines through one fixed sorted-key template.
+`decompose`, both writers and `aggregate` all read them from it. A cell's
+traces share few segment tuples, so each writer renders the text of each
+distinct tuple once and adds only the run and ann_id per row. The cells that
+are the same on every row of a file (scenario_id, consensus, n_systems) are
+quoted once per file, by `csv.writer` for the CSV and by json's own string
+encoder for the JSON lines. Every other value is digits, ".", "-", a flag or
+empty, which neither would quote or escape.
 """
 
 import csv
+import io
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 from . import canonical
 from .units import MICRO, format_micro, parse_micro
@@ -162,43 +166,50 @@ def cell_filename(scenario_id: str, consensus: str, n_systems: int, suffix="csv"
 _NO_SEGMENTS = ("",) * len(SEGMENTS)
 
 
-def _rows(traces, scenario_id, consensus, n_systems):
-    """One tuple of strings per trace, in `CSV_COLUMNS` order."""
-    n_text = str(n_systems)
+def _texts(traces, render):
+    """`(run, ann_id, fixed)` per trace: the two texts that change from row to
+    row, and `render` of the row's seven segment-and-flag cells. `render` runs
+    once per distinct segment tuple; an incomplete row's cells are empty and
+    "false"."""
+    fixed = {}
     for trace in traces:
-        ann_id = "" if trace.ann_id is None else str(trace.ann_id)
-        if trace.complete:
-            yield (scenario_id, consensus, n_text, str(trace.run), ann_id,
-                   *map(format_micro, _segments(trace)), "true")
-        else:
-            yield (scenario_id, consensus, n_text, str(trace.run), ann_id, *_NO_SEGMENTS, "false")
-
-
-# `json.dumps(row, sort_keys=True)` for a row of strings: its keys in sorted
-# order, each value escaped by the same C function json uses.
-_JSON_KEYS = sorted(CSV_COLUMNS)
-_JSON_LINE = "{" + ", ".join(f'"{key}": %s' for key in _JSON_KEYS) + "}\n"
-_json_order = itemgetter(*[CSV_COLUMNS.index(key) for key in _JSON_KEYS])
+        key = _segments(trace) if trace.complete else None
+        text = fixed.get(key)
+        if text is None:
+            cells = (*_NO_SEGMENTS, "false") if key is None else (*map(format_micro, key), "true")
+            text = fixed[key] = render(cells)
+        yield str(trace.run), "" if trace.ann_id is None else str(trace.ann_id), text
 
 
 def write_csv(traces, path, scenario_id, consensus, n_systems) -> None:
+    constants = io.StringIO()  # "scenario_id,consensus,n_systems," as csv.writer quotes them
+    csv.writer(constants, lineterminator="\n").writerow((scenario_id, consensus, str(n_systems), ""))
+    prefix = constants.getvalue()[:-1]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(_rows(traces, scenario_id, consensus, n_systems))
+        csv.writer(fh, lineterminator="\n").writerow(CSV_COLUMNS)
+        fh.writelines(f"{prefix}{run},{ann_id},{cells}\n"
+                      for run, ann_id, cells in _texts(traces, ",".join))
+
+
+# The keys of `json.dumps(row, sort_keys=True)`: "ann_id" sorts first.
+_JSON_KEYS = sorted(CSV_COLUMNS)
+_RUN_AT = _JSON_KEYS.index("run")
 
 
 def write_jsonl(traces, path, scenario_id, consensus, n_systems) -> None:
     """The CSV's rows, one per line as `json.dumps(row, sort_keys=True)`
     with every value a string."""
-    with open(path, "w", encoding="utf-8") as fh:
-        # A list, not tuple(map(...)): that tuple is grown by resizing, which
-        # allocates past the tuple free list but releases into it, so up to
-        # 2,000 dead twelve-item tuples would stay parked there.
-        fh.writelines(
-            _JSON_LINE % _json_order(list(map(encode_basestring_ascii, row)))
-            for row in _rows(traces, scenario_id, consensus, n_systems)
-        )
+    constants = tuple(map(encode_basestring_ascii, (scenario_id, consensus, str(n_systems))))
+
+    def around_run(cells):
+        """A line's text between its ann_id and run values, and after run."""
+        values = dict(zip(CSV_COLUMNS, (*constants, None, None, *(f'"{cell}"' for cell in cells))))
+        return tuple("".join(f', "{key}": {values[key]}' for key in keys)
+                     for keys in (_JSON_KEYS[1:_RUN_AT], _JSON_KEYS[_RUN_AT + 1:]))
+
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(f'{{"ann_id": "{ann_id}"{before}, "run": "{run}"{after}}}\n'
+                      for run, ann_id, (before, after) in _texts(traces, around_run))
 
 
 def read_csv(path) -> list[dict]:

@@ -1,3 +1,6 @@
+import builtins
+import os
+import pathlib
 import warnings
 
 import pytest
@@ -58,3 +61,24 @@ def _silence_small_validator_warning():
         for category in (SmallValidatorSetWarning, ReferenceSmallValidatorSetWarning):
             warnings.simplefilter("ignore", category=category)
         yield
+
+
+@pytest.fixture
+def written_newlines(monkeypatch):
+    """The `newline` argument of each file opened for writing, by file name.
+    "\n" and "" write "\n" as it is on every platform; None writes
+    `os.linesep`, which is "\r\n" on Windows."""
+    seen = {}
+
+    def recording(real_open):
+        def opener(file, mode="r", buffering=-1, encoding=None, errors=None, newline=None, **kw):
+            if "w" in mode:
+                seen[os.path.basename(file)] = newline
+            return real_open(file, mode, buffering, encoding, errors, newline, **kw)
+        return opener
+
+    # `Path.write_text` opens through `Path.open`, which on 3.10 holds its own
+    # reference to `io.open`, so both entry points are wrapped.
+    monkeypatch.setattr(builtins, "open", recording(builtins.open))
+    monkeypatch.setattr(pathlib.Path, "open", recording(pathlib.Path.open))
+    return seen

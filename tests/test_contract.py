@@ -418,6 +418,10 @@ class TestEventLog:
         assert row["ann_id"] == 0
         assert row["payload"]["requirements"]["app_id"] == "app"
 
+    def test_log_is_opened_with_a_fixed_newline(self, tmp_path, written_newlines):
+        write_event_log([], tmp_path / "events.jsonl")
+        assert written_newlines == {"events.jsonl": "\n"}
+
 
 # -- records ---------------------------------------------------------------------
 

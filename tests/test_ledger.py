@@ -325,3 +325,7 @@ class TestChainDump:
         assert rows[1]["txs"] == [{"id": 0, "kind": "Ping"}]
         assert rows[1]["timestamp_s"] == "5.000000"
         assert set(rows[0]) == {"height", "proposer", "timestamp_s", "finality_time_s", "txs"}
+
+    def test_dump_is_opened_with_a_fixed_newline(self, tmp_path, written_newlines):
+        write_chain_dump(make_ledger(), tmp_path / "chain.json")
+        assert written_newlines == {"chain.json": "\n"}

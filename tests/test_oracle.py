@@ -161,12 +161,18 @@ def test_format_micro_matches_the_frozen_reference(value):
 
 
 _STAMP = st.one_of(st.integers(-(10**13), 10**13), st.integers())
-_TRACE = st.builds(
-    lambda run, ann_id, stamps, complete: make_trace(
-        run, ann_id, stamps if complete else [stamps[0]] + [None] * 5, complete),
-    st.integers(0, 10**4), st.none() | st.integers(0, 10**6),
-    st.lists(_STAMP, min_size=6, max_size=6), st.booleans(),
-)
+_STAMPS = st.lists(_STAMP, min_size=6, max_size=6)
+
+
+def drawn_traces(stamps) -> st.SearchStrategy:
+    return st.builds(
+        lambda run, ann_id, stamps, complete: make_trace(
+            run, ann_id, stamps if complete else [stamps[0]] + [None] * 5, complete),
+        st.integers(0, 10**4), st.none() | st.integers(0, 10**6), stamps, st.booleans(),
+    )
+
+
+_TRACE = drawn_traces(_STAMPS)
 
 
 @given(traces=st.lists(_TRACE, max_size=8), scenario_id=st.text(max_size=12),
@@ -178,3 +184,37 @@ def test_export_of_drawn_traces_matches_the_frozen_reference(tmp_path_factory, t
     assert exported(metrics, traces, tmp_path, scenario_id, consensus, n_systems) == \
         exported(ref_metrics, traces, tmp_path, scenario_id, consensus, n_systems)
     assert aggregated(metrics, traces) == aggregated(ref_metrics, traces)
+
+
+# -- export of repeated segment tuples ------------------------------------------
+
+REPEATING_STAMPS = (
+    [0, 2, 5, 9, 14, 20],  # segments 2, 3, 4, 5 and 6 µs, 20 µs in total
+    [0, 3, 5, 9, 14, 20],  # the same segments with the first two swapped
+    [SECOND, 3 * SECOND, 2 * SECOND + 1, 4 * SECOND, 4 * SECOND, 9 * SECOND],  # one negative
+    [SECOND + 5, SECOND + 7, SECOND + 10, SECOND + 14, SECOND + 19, SECOND + 25],  # the first, later
+)
+REPEATED_TRACES = [
+    make_trace(run, None, [run * SECOND] + [None] * 5, complete=False) if run % 9 == 4 else
+    make_trace(run, None if run % 5 == 2 else 3 * run, REPEATING_STAMPS[run % 4])
+    for run in range(50)
+]
+
+
+@pytest.mark.parametrize("scenario_id", ODD_IDS)
+def test_export_of_repeated_segment_tuples_matches_the_frozen_reference(scenario_id, tmp_path):
+    complete = [metrics.decompose(trace) for trace in REPEATED_TRACES if trace.complete]
+    assert len(set(complete)) == 3 < len(complete)
+    assert exported(metrics, REPEATED_TRACES, tmp_path, scenario_id) == \
+        exported(ref_metrics, REPEATED_TRACES, tmp_path, scenario_id)
+
+
+@given(traces=st.lists(_STAMPS, min_size=1, max_size=3).flatmap(
+           lambda pool: st.lists(drawn_traces(st.sampled_from(pool)), max_size=12)),
+       scenario_id=st.text(max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_export_of_traces_drawn_from_few_stamps_matches_the_frozen_reference(
+        tmp_path_factory, traces, scenario_id):
+    tmp_path = tmp_path_factory.mktemp("export")
+    assert exported(metrics, traces, tmp_path, scenario_id) == \
+        exported(ref_metrics, traces, tmp_path, scenario_id)
