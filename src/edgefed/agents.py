@@ -43,6 +43,7 @@ class ProviderUnavailable(Exception):
 
 @dataclass(frozen=True)
 class DeploymentModel:
+    """A provider's deployment durations: container start, VXLAN setup and confirmation."""
     container_start_us: int = to_micro(1.5)
     vxlan_setup_us: int = to_micro(0.5)
     confirm_overhead_us: int = to_micro(0.1)
@@ -58,6 +59,7 @@ class DeploymentModel:
 
 @dataclass(frozen=True)
 class PricingContext:
+    """The time-of-day factor and jitter every provider prices its bids with."""
     hour_of_day: int
     time_factor_curve: tuple
     jitter_fraction: float = 0.0
@@ -74,15 +76,17 @@ class PricingContext:
             raise ValueError("agents.hour_of_day must be in 0..23")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class ProviderProfile:
+    """One provider's address, base tariff and deployment model."""
     address: Address
     base_tariff_micro: int
     deploy_model: DeploymentModel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class ConsumerProfile:
+    """One consumer's address, the announcement it makes and its overlay attach time."""
     address: Address
     announcement: AnnounceService
     attach_time_us: int
@@ -105,8 +109,9 @@ def pricer(base_tariff_micro: int, ctx: PricingContext, rng):
     return lambda: max(1, round(scale * (1.0 + (low + span * draw()))))
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class DeploymentJob:
+    """One won federation in a provider's deployment queue, with its instants."""
     ann_id: int
     enqueued_us: int
     started_us: int

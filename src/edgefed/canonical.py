@@ -135,11 +135,14 @@ def slot_init(cls):
     member descriptor's `__set__`), in field order, with the same positional
     or keyword parameters. The dataclass's own `__init__` goes through
     `object.__setattr__` once per field, since the class's `__setattr__`
-    raises, which costs several times as much. Only the constructor changes:
-    assignment still raises `FrozenInstanceError`, and equality, hashing,
-    `repr`, `fields()` and `replace()` are the dataclass's. A default or a
-    `__post_init__` needs the dataclass's `__init__`, so such a class is
-    refused, as is one that is not a frozen dataclass with slots."""
+    raises, which costs several times as much. Declare the dataclass with
+    `init=False`: its own `__init__` would be compiled only to be replaced.
+    Only the constructor changes: assignment still raises
+    `FrozenInstanceError`, and equality, hashing, `fields()` and `replace()`
+    are the dataclass's; `repr` is whatever the class's dataclass options
+    give. A default or a `__post_init__` needs the dataclass's `__init__`, so
+    such a class is refused, as is one that is not a frozen dataclass with
+    slots."""
     if not (dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen):
         raise TypeError(f"slot_init needs a frozen dataclass, not {cls.__qualname__}")
     if hasattr(cls, "__post_init__"):

@@ -79,8 +79,9 @@ class ServiceRequirements:
 
 
 @canonical.slot_init
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class OverlayEndpoint:
+    """A VXLAN overlay endpoint: address, UDP port and network identifier."""
     ip: str
     udp_port: int
     vni: int
@@ -88,6 +89,7 @@ class OverlayEndpoint:
 
 @dataclass(frozen=True)
 class SlaTerms:
+    """The service level an announcement asks for and the penalty it escrows."""
     min_availability_micro: int  # fraction of 1.0 in millionths
     max_latency_us: int
     penalty_micro: int
@@ -108,8 +110,9 @@ class SlaTerms:
 
 
 @canonical.slot_init
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class AnnounceService:
+    """Call: a consumer opens an auction, escrowing its deposit."""
     requirements: ServiceRequirements
     consumer_endpoint: OverlayEndpoint
     sla: SlaTerms
@@ -117,28 +120,32 @@ class AnnounceService:
 
 
 @canonical.slot_init
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class PlaceBid:
+    """Call: a provider bids a price on an open announcement."""
     ann_id: int
     price_micro: int
 
 
 @canonical.slot_init
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class ChooseProvider:
+    """Call: the consumer ends bidding; the contract picks the winner."""
     ann_id: int
 
 
 @canonical.slot_init
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class ConfirmDeployment:
+    """Call: the winner reports its service deployed at its overlay endpoint."""
     ann_id: int
     provider_endpoint: OverlayEndpoint
 
 
 @canonical.slot_init
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class CloseFederation:
+    """Call: the consumer closes the federation once attached."""
     ann_id: int
 
 
@@ -146,7 +153,7 @@ class CloseFederation:
 
 
 @canonical.slot_init
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class ServiceAnnounced:
     """Carries the announcement id and requirements only (data minimization)."""
 
@@ -155,14 +162,15 @@ class ServiceAnnounced:
 
 
 @canonical.slot_init
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class BidPlaced:
+    """Carries the announcement id and how many bids it holds, not the price."""
     ann_id: int
     bid_count: int
 
 
 @canonical.slot_init
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class ProviderChosen:
     """Releases the consumer endpoint to the winner at selection time."""
 
@@ -172,15 +180,17 @@ class ProviderChosen:
 
 
 @canonical.slot_init
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class DeploymentConfirmed:
+    """Releases the provider endpoint to the consumer."""
     ann_id: int
     provider_endpoint: OverlayEndpoint
 
 
 @canonical.slot_init
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class FederationClosed:
+    """Marks the federation closed by its consumer."""
     ann_id: int
 
 
@@ -188,8 +198,9 @@ class FederationClosed:
 
 
 @canonical.slot_init
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class ServiceAnnouncement:
+    """An announcement as the contract stores it: who made it, what and in which block."""
     ann_id: int
     consumer: Address
     requirements: ServiceRequirements
@@ -197,8 +208,9 @@ class ServiceAnnouncement:
     announce_block: int
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class Bid:
+    """One provider's standing bid, with the block and auction position it came in."""
     ann_id: int
     provider: Address
     price_micro: int
@@ -215,8 +227,9 @@ def select_winner(bids) -> Bid:
     return min(bids, key=bid_priority)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class FederationRecord:
+    """The contract's state of one announcement: its phase, bids, winner and escrow."""
     announcement: ServiceAnnouncement
     phase: Phase
     bids: dict = field(default_factory=dict)  # provider -> Bid

@@ -37,7 +37,7 @@ class SmallValidatorSetWarning(UserWarning):
     """QBFT with fewer than 4 validators cannot tolerate one Byzantine fault."""
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, order=True, slots=True, repr=False)
 class Address:
     """20-byte participant identifier, ordered byte-lexicographically."""
 
@@ -74,6 +74,7 @@ class Algorithm(Enum):
 
 @dataclass(frozen=True)
 class ConsensusConfig:
+    """The chain's algorithm, block period, message and validation delays and validators."""
     algorithm: Algorithm
     block_period_us: int
     message_delay_us: int = to_micro(0.05)
@@ -111,8 +112,9 @@ def finality_delay_us(cfg: ConsensusConfig) -> int:
 
 
 @canonical.slot_init
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Transaction:
+    """A contract call as submitted: its sender, submit instant and nonce."""
     id: int
     sender: Address
     payload: object
@@ -120,8 +122,9 @@ class Transaction:
     nonce: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Block:
+    """A produced block: its transactions in order, its parent and its finality."""
     height: int
     proposer: Address
     timestamp_us: int
@@ -161,7 +164,7 @@ class _ParentDigest:
 Block.parent_digest = _ParentDigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class StampedEvent:
     """A contract event with its block's height and finality, the instant
     before which nothing may act on it."""

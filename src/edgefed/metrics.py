@@ -66,7 +66,7 @@ CSV_COLUMNS = (
 
 
 @canonical.slot_init
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FederationTrace:
     """Timeline of one federation.
 
@@ -120,6 +120,7 @@ def decompose(trace: FederationTrace) -> PhaseBreakdown:
 
 @dataclass(frozen=True)
 class SegmentStats:
+    """Mean, variance, minimum and maximum of one segment, in seconds."""
     mean_s: float
     variance_s2: float
     min_s: float
@@ -128,6 +129,7 @@ class SegmentStats:
 
 @dataclass(frozen=True)
 class AggregateStats:
+    """Per-segment statistics over the complete traces, and the sample counts."""
     segments: dict  # segment name -> SegmentStats
     n_samples: int
     n_incomplete: int

@@ -43,6 +43,7 @@ import hashlib
 import heapq
 import json
 import math
+import os
 import random
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -183,6 +184,7 @@ MODE_ALL = "all_consumers_simultaneous"
 
 @dataclass(frozen=True)
 class AgentParams:
+    """A scenario's `agents` object: delays, tariffs, pricing, deposits and SLA."""
     deploy_model: DeploymentModel = DeploymentModel()
     attach_time_us: int = to_micro(0.5)
     reaction_delay_us: int = to_micro(0.1)
@@ -232,6 +234,7 @@ class AgentParams:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario document, validated: topology, variant, consensus, agents and sweep."""
     scenario_id: str = "scenario"
     n_systems: int = 2
     consumers: int = 1
@@ -431,13 +434,13 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigInvalid(f"config file not found: {path}") from err
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
         raise ConfigInvalid(f"config is not valid JSON: {err}") from err
-    return parse_config(data, scenario_id=str(path).rsplit("/", 1)[-1].removesuffix(".json"))
+    return parse_config(data, scenario_id=os.path.basename(path).removesuffix(".json"))
 
 
 # -- participants ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Participants:
     """Addresses are seed-derived and role lists are address-sorted so the
     ledger's (submit time, sender) ordering is stable per seed."""
@@ -510,7 +513,7 @@ def build_consensus(cfg: ScenarioConfig, participants: Participants) -> Consensu
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Cell:
     """What every run of one config shares, built once by `build_cell`: the
     consumer and provider profiles and, for a chain variant, the contract
@@ -535,8 +538,9 @@ def build_cell(cfg: ScenarioConfig) -> Cell:
 # -- run execution -----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class RunResult:
+    """One run's traces and, for a chain variant, its ledger, contract and published events."""
     run_index: int
     traces: list
     blocks: tuple = ()

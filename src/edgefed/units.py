@@ -9,7 +9,7 @@ import re
 
 MICRO = 1_000_000
 
-_DECIMAL = re.compile(r"([+-]?)([0-9]+)(?:\.([0-9]{1,6}))?")
+_DECIMAL = r"([+-]?)([0-9]+)(?:\.([0-9]{1,6}))?"  # compiled on first use, by re's cache
 
 
 def to_micro(value: float) -> int:
@@ -29,7 +29,7 @@ def parse_micro(text: str) -> int:
 
     Raises ValueError unless the text is a decimal with at most six
     fractional digits, so no digit is dropped."""
-    match = _DECIMAL.fullmatch(text)
+    match = re.fullmatch(_DECIMAL, text)
     if match is None:
         raise ValueError(f"not a decimal with at most six fractional digits: {text!r}")
     sign, whole, frac = match.groups()

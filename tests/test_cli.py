@@ -1,10 +1,12 @@
 import json
 import math
+import ntpath
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from edgefed import metrics
+from edgefed import metrics, simkernel
 from edgefed.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from edgefed.metrics import CSV_COLUMNS
 
@@ -259,6 +261,15 @@ class TestValidateConfig:
         path = tmp_path / "bad.json"
         path.write_text('{"topology": {"n_systems": 1}}')
         assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
+
+    def test_a_windows_path_names_the_scenario_by_its_file_name(
+            self, tmp_path, capsys, monkeypatch):
+        # Windows splits paths at backslashes; here the file's own name holds one.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "configs\\baseline.json").write_text("{}")
+        monkeypatch.setattr(simkernel, "os", SimpleNamespace(path=ntpath))
+        assert main(["validate-config", "--config", "configs\\baseline.json"]) == EXIT_OK
+        assert "ok: scenario baseline " in capsys.readouterr().out
 
 
 class TestBadConfigExits1:
