@@ -34,7 +34,7 @@ from .contract import (
 )
 from .ledger import Address
 from .metrics import FederationTrace
-from .units import to_micro
+from .units import ConfigInvalid, check_non_negative, to_micro
 
 
 class ProviderUnavailable(Exception):
@@ -49,8 +49,9 @@ class DeploymentModel:
     confirm_overhead_us: int = to_micro(0.1)
 
     def __post_init__(self):
-        if min(self.container_start_us, self.vxlan_setup_us, self.confirm_overhead_us) < 0:
-            raise ValueError("deployment durations must be non-negative")
+        check_non_negative("agents.deployment", container_start_s=self.container_start_us,
+                           vxlan_setup_s=self.vxlan_setup_us,
+                           confirm_overhead_s=self.confirm_overhead_us)
 
     @property
     def service_time_us(self) -> int:
@@ -65,15 +66,14 @@ class PricingContext:
     jitter_fraction: float = 0.0
 
     def __post_init__(self):
-        # Named by their keys in a scenario's `agents` object.
         if len(self.time_factor_curve) != 24:
-            raise ValueError("agents.time_factor_curve needs one multiplier per hour")
+            raise ConfigInvalid("agents.time_factor_curve needs one multiplier per hour")
         if any(f <= 0 for f in self.time_factor_curve):
-            raise ValueError("agents.time_factor_curve values must be positive")
+            raise ConfigInvalid("agents.time_factor_curve values must be positive")
         if not 0 <= self.jitter_fraction < 1:
-            raise ValueError("agents.jitter_fraction must be in [0, 1)")
+            raise ConfigInvalid("agents.jitter_fraction must be in [0, 1)")
         if not 0 <= self.hour_of_day <= 23:
-            raise ValueError("agents.hour_of_day must be in 0..23")
+            raise ConfigInvalid("agents.hour_of_day must be in 0..23")
 
 
 @dataclass(frozen=True, repr=False)

@@ -30,22 +30,25 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute one scenario and export metrics")
-    _common_flags(run)
+    _common_flags(run, _cmd_run)
 
     sweep = sub.add_parser("sweep", help="run the full (N x variant) grid")
-    _common_flags(sweep)
+    _common_flags(sweep, _cmd_sweep)
 
     compare = sub.add_parser("compare", help="overhead of blockchain vs SOA results")
+    compare.set_defaults(handler=_cmd_compare)
     compare.add_argument("blockchain_csv")
     compare.add_argument("soa_csv")
     compare.add_argument("--out", default=None)
 
     validate = sub.add_parser("validate-config", help="check a scenario file")
+    validate.set_defaults(handler=_cmd_validate)
     validate.add_argument("--config", required=True)
     return parser
 
 
-def _common_flags(cmd: argparse.ArgumentParser) -> None:
+def _common_flags(cmd: argparse.ArgumentParser, handler) -> None:
+    cmd.set_defaults(handler=handler)
     cmd.add_argument("--config", required=True)
     cmd.add_argument("--out", default=None)
     cmd.add_argument("--seed", type=int, default=None)
@@ -59,13 +62,8 @@ def _resolve_out(flag_value, config_dir=None) -> Path:
 
 
 def _apply_overrides(cfg, args):
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.consensus is not None:
-        cfg = replace(cfg, variant=args.consensus)
-    if args.runs is not None:
-        cfg = replace(cfg, runs=args.runs)
-    return cfg
+    overrides = {"seed": args.seed, "variant": args.consensus, "runs": args.runs}
+    return replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
 
 
 def _print_summary(cfg, stats) -> None:
@@ -88,10 +86,9 @@ def _print_summary(cfg, stats) -> None:
 
 def _run_cell(cfg, out_dir: Path):
     traces = simkernel.run_scenario(cfg)
-    csv_path = out_dir / metrics.cell_filename(cfg.scenario_id, cfg.variant, cfg.n_systems)
-    jsonl_path = out_dir / metrics.cell_filename(cfg.scenario_id, cfg.variant, cfg.n_systems, "jsonl")
-    metrics.write_csv(traces, csv_path, cfg.scenario_id, cfg.variant, cfg.n_systems)
-    metrics.write_jsonl(traces, jsonl_path, cfg.scenario_id, cfg.variant, cfg.n_systems)
+    cell = (cfg.scenario_id, cfg.variant, cfg.n_systems)
+    for write, suffix in ((metrics.write_csv, "csv"), (metrics.write_jsonl, "jsonl")):
+        write(traces, out_dir / metrics.cell_filename(*cell, suffix), *cell)
     return traces
 
 
@@ -197,14 +194,8 @@ def _cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "sweep": _cmd_sweep,
-        "compare": _cmd_compare,
-        "validate-config": _cmd_validate,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except ConfigInvalid as err:
         print(f"invalid config: {err}", file=sys.stderr)
         return EXIT_CONFIG

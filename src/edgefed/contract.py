@@ -18,7 +18,7 @@ from operator import attrgetter
 
 from . import canonical
 from .ledger import Address, Block, StampedEvent
-from .units import format_micro, to_micro
+from .units import ConfigInvalid, format_micro, ms_to_micro, to_micro
 
 
 class ContractError(Exception):
@@ -98,7 +98,7 @@ class SlaTerms:
     def from_floats(cls, min_availability: float, max_latency_ms: float, penalty: float) -> "SlaTerms":
         return cls(
             min_availability_micro=to_micro(min_availability),
-            max_latency_us=round(max_latency_ms * 1000),
+            max_latency_us=ms_to_micro(max_latency_ms),
             penalty_micro=to_micro(penalty),
         )
 
@@ -256,7 +256,7 @@ class ContractGenesis:
     def __post_init__(self):
         if self.min_offers < 1:
             # ChooseProvider would pick the lowest of no bids.
-            raise ValueError(f"min_offers must be at least 1, got {self.min_offers}")
+            raise ConfigInvalid(f"min_offers must be at least 1, got {self.min_offers}")
 
 
 def _unknown_call(contract, sender, call, height):

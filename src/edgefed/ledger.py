@@ -26,7 +26,7 @@ from enum import Enum
 from operator import attrgetter
 
 from . import canonical
-from .units import format_micro, to_micro
+from .units import ConfigInvalid, check_non_negative, format_micro, to_micro
 
 
 class LedgerError(Exception):
@@ -72,6 +72,14 @@ class Algorithm(Enum):
     QBFT = "qbft"
 
 
+def check_timing(block_period_us: int, message_delay_us: int, validation_cost_us: int) -> None:
+    """The range rule of a chain's timing, named by the scenario's `consensus` keys."""
+    if block_period_us <= 0:
+        raise ConfigInvalid("consensus.block_period_s must be positive")
+    check_non_negative("consensus", message_delay_s=message_delay_us,
+                       validation_cost_s=validation_cost_us)
+
+
 @dataclass(frozen=True)
 class ConsensusConfig:
     """The chain's algorithm, block period, message and validation delays and validators."""
@@ -82,12 +90,11 @@ class ConsensusConfig:
     validators: tuple = ()
 
     def __post_init__(self):
-        if self.block_period_us <= 0:
-            raise ValueError("block period must be positive")
+        check_timing(self.block_period_us, self.message_delay_us, self.validation_cost_us)
         if len(self.validators) < 1:
-            raise ValueError("at least one validator is required")
+            raise ConfigInvalid("at least one validator is required")
         if len(set(self.validators)) != len(self.validators):
-            raise ValueError("duplicate validator")
+            raise ConfigInvalid("duplicate validator")
         if self.algorithm is Algorithm.QBFT and len(self.validators) < 4:
             warnings.warn(
                 f"QBFT with {len(self.validators)} validators cannot tolerate "

@@ -71,20 +71,16 @@ from .contract import (
     ServiceRequirements,
     SlaTerms,
 )
-from .ledger import Address, Algorithm, ConsensusConfig, Ledger, StampedEvent
+from .ledger import Address, Algorithm, ConsensusConfig, Ledger, StampedEvent, check_timing
 from .metrics import FederationTrace
-from .units import to_micro
+from .units import ConfigInvalid, check_non_negative, ms_to_micro, to_micro
 
 
 class SchedulingInPast(Exception):
     pass
 
 
-class TooFewSystems(Exception):
-    pass
-
-
-class ConfigInvalid(Exception):
+class TooFewSystems(ConfigInvalid):
     pass
 
 
@@ -160,7 +156,7 @@ class SeededRng:
 def generate_topology(n_systems: int) -> tuple[int, int]:
     """(consumers, providers) under the stub-heavy 80:20 role ratio."""
     if n_systems < 2:
-        raise TooFewSystems(f"need at least 2 systems, got {n_systems}")
+        raise TooFewSystems(f"topology.n_systems must be at least 2, got {n_systems}")
     # round(n/5) without float rounding artifacts; .5 halves cannot occur.
     providers = max(1, (2 * n_systems + 5) // 10)
     return (n_systems - providers, providers)
@@ -199,8 +195,8 @@ class AgentParams:
     genesis_balance_micro: int = to_micro(100.0)
 
     def __post_init__(self):
-        if min(self.attach_time_us, self.reaction_delay_us, self.rtt_us) < 0:
-            raise ConfigInvalid("agent delays must be non-negative")
+        check_non_negative("agents", attach_time_s=self.attach_time_us,
+                           reaction_delay_s=self.reaction_delay_us, rtt_s=self.rtt_us)
         if not self.tariffs_micro:
             raise ConfigInvalid("agents.tariffs must not be empty")
         if min(self.tariffs_micro) <= 0:
@@ -216,14 +212,12 @@ class AgentParams:
             # A probability: above 1 would read as 1 and below 0 as 0, silently.
             raise ConfigInvalid("agents.abstain_probability must be in [0, 1]")
         sla = self.sla
-        if sla.penalty_micro < 0:
-            # With the rules below, a negative penalty would admit a negative
-            # deposit and balance, and each announcement would escrow it.
-            raise ConfigInvalid("agents.sla.penalty must be non-negative")
+        # With the rules below, a negative penalty would admit a negative
+        # deposit and balance, and each announcement would escrow it.
+        check_non_negative("agents.sla", penalty=sla.penalty_micro,
+                           max_latency_ms=sla.max_latency_us)
         if not 0 <= sla.min_availability_micro <= to_micro(1.0):
             raise ConfigInvalid("agents.sla.min_availability must be in [0, 1]")
-        if sla.max_latency_us < 0:
-            raise ConfigInvalid("agents.sla.max_latency_ms must be non-negative")
         if self.genesis_balance_micro < self.deposit_micro:
             # The contract would reject every announcement as InsufficientBalance.
             raise ConfigInvalid("agents.genesis_balance must be at least agents.announce_deposit")
@@ -262,46 +256,44 @@ class ScenarioConfig:
                 f"split ({self.consumers},{self.providers}) does not sum to n_systems={self.n_systems}"
             )
         if self.consumers < 1 or self.providers < 1:
-            raise ConfigInvalid("need at least one consumer and one provider")
-        for variant in (self.variant, *self.sweep_variants):
+            raise ConfigInvalid("topology.split needs at least one consumer and one provider")
+        for i, variant in enumerate((self.variant, *self.sweep_variants)):
             if variant not in VARIANTS:
-                raise ConfigInvalid(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+                key = f"sweep.variants[{i - 1}]" if i else "consensus.algorithm"
+                raise ConfigInvalid(f"unknown variant {variant!r} in {key}, expected one of {VARIANTS}")
         if self.concurrency_mode not in (MODE_SINGLE, MODE_ALL):
-            raise ConfigInvalid(f"unknown concurrency mode {self.concurrency_mode!r}")
+            raise ConfigInvalid(f"unknown concurrency_mode {self.concurrency_mode!r}")
         if self.runs < 1:
             raise ConfigInvalid("runs must be >= 1")
-        if self.block_period_us <= 0:
-            raise ConfigInvalid("block period must be positive")
-        if min(self.message_delay_us, self.validation_cost_us) < 0:
-            raise ConfigInvalid("consensus delays must be non-negative")
+        check_timing(self.block_period_us, self.message_delay_us, self.validation_cost_us)
         if self.timeout_us <= 0:
-            raise ConfigInvalid("scenario timeout must be positive")
+            raise ConfigInvalid("scenario_timeout_s must be positive")
         # A run makes a block each period until the last close or the timeout.
         if self.timeout_us // self.block_period_us > 10**6:
             raise ConfigInvalid("scenario_timeout_s must span at most 1000000 block periods")
-        if not self.sweep_n:
-            raise ConfigInvalid("sweep.n_systems must not be empty")
-        if not self.sweep_variants:
-            raise ConfigInvalid("sweep.variants must not be empty")
+        for key, axis in (("sweep.n_systems", self.sweep_n), ("sweep.variants", self.sweep_variants)):
+            if not axis:
+                raise ConfigInvalid(f"{key} must not be empty")
+            # A repeat would run its cell again over the same output files.
+            if len(set(axis)) < len(axis):
+                raise ConfigInvalid(f"{key} must not repeat a value")
         if any(n < 2 for n in self.sweep_n):
             raise ConfigInvalid("sweep.n_systems must each be at least 2")
-        # A repeat would run its cell again over the same output files.
-        if len(set(self.sweep_n)) < len(self.sweep_n):
-            raise ConfigInvalid("sweep.n_systems must not repeat a value")
-        if len(set(self.sweep_variants)) < len(self.sweep_variants):
-            raise ConfigInvalid("sweep.variants must not repeat a value")
         if not isinstance(self.output_dir, (str, type(None))):
             raise ConfigInvalid("output.dir must be a string")
 
 
 def _number(convert, integer: bool = False):
     """Reader of a JSON number, never a bool: any int if `integer`, else an
-    int or float finite as a float. `convert` maps it to its field."""
+    int or float finite as a float. `convert` maps it to its field, and a
+    nonzero number it maps to 0 is refused."""
     def read(value, where: str):
         try:
             if (isinstance(value, int if integer else (int, float))
                     and not isinstance(value, bool) and (integer or math.isfinite(value))):
-                return convert(value)
+                if (converted := convert(value)) or not value:
+                    return converted
+                raise ConfigInvalid(f"{where} rounds to 0 from {value!r}")
         except OverflowError:  # beyond the float range, before or after `convert`
             pass
         raise ConfigInvalid(f"{where} must be {'an integer' if integer else 'a finite number'}")
@@ -361,9 +353,7 @@ def _agent_params(**args) -> AgentParams:
     return AgentParams(pricing=replace(AgentParams.pricing, **pricing), **args)
 
 
-# The scenario document's schema. A key maps to (dataclass field, reader) or,
-# for a nested object whose keys are fields of the same dataclass, to that
-# object's own table.
+# The scenario document's schema, in the table form `_section` reads.
 _SCHEMA = {
     "scenario_id": ("scenario_id", _as_is),
     "topology": {"n_systems": ("n_systems", _integer), "split": ("split", _list_of(_integer))},
@@ -390,7 +380,7 @@ _SCHEMA = {
         "announce_deposit": ("deposit_micro", _micro),
         "sla": ("sla", _object(partial(replace, AgentParams.sla), {
             "min_availability": ("min_availability_micro", _micro),
-            "max_latency_ms": ("max_latency_us", _number(lambda ms: round(ms * 1000))),
+            "max_latency_ms": ("max_latency_us", _number(ms_to_micro)),
             "penalty": ("penalty_micro", _micro),
         })),
         "genesis_balance": ("genesis_balance_micro", _micro),
@@ -410,20 +400,16 @@ _SCHEMA = {
 def parse_config(data: dict, scenario_id: str = "scenario") -> ScenarioConfig:
     """Validate a scenario document against _SCHEMA; unknown keys are
     rejected outright. A field the document leaves out keeps its default."""
-    # The dataclasses check value ranges; their ValueErrors become ConfigInvalid.
-    try:
-        args = {"scenario_id": scenario_id, **_section(data, "", _SCHEMA)}
-        split = args.pop("split", None)  # not a field: it sets consumers and providers
-        if split is None and "n_systems" in args:
-            split = generate_topology(args["n_systems"])
-        if split is not None:
-            if len(split) != 2:
-                raise ConfigInvalid("topology.split must be [consumers, providers]")
-            args["consumers"], args["providers"] = split
-            args.setdefault("n_systems", sum(split))
-        return ScenarioConfig(**args)
-    except (ValueError, TooFewSystems) as err:
-        raise ConfigInvalid(str(err)) from err
+    args = {"scenario_id": scenario_id, **_section(data, "", _SCHEMA)}
+    split = args.pop("split", None)  # not a field: it sets consumers and providers
+    if split is None and "n_systems" in args:
+        split = generate_topology(args["n_systems"])
+    if split is not None:
+        if len(split) != 2:
+            raise ConfigInvalid("topology.split must be [consumers, providers]")
+        args["consumers"], args["providers"] = split
+        args.setdefault("n_systems", sum(split))
+    return ScenarioConfig(**args)
 
 
 def load_config(path) -> ScenarioConfig:

@@ -1,4 +1,4 @@
-"""Fixed-point units shared across the engine.
+"""Fixed-point units shared across the engine, and the error of a bad scenario value.
 
 Simulated time and currency are both stored as integers in millionths
 (microseconds, micro-currency). Integer arithmetic keeps segment sums exact
@@ -12,9 +12,25 @@ MICRO = 1_000_000
 _DECIMAL = r"([+-]?)([0-9]+)(?:\.([0-9]{1,6}))?"  # compiled on first use, by re's cache
 
 
+class ConfigInvalid(ValueError):
+    """A scenario value that cannot be read or is out of range, named by its key."""
+
+
+def check_non_negative(section: str, **values) -> None:
+    """Refuse the first of `values` below 0, named by its key in `section`."""
+    for key, value in values.items():
+        if value < 0:
+            raise ConfigInvalid(f"{section}.{key} must be non-negative")
+
+
 def to_micro(value: float) -> int:
     """Convert seconds (or currency units) to integer millionths."""
     return round(value * MICRO)
+
+
+def ms_to_micro(ms: float) -> int:
+    """Convert milliseconds to integer microseconds."""
+    return round(ms * 1000)
 
 
 def format_micro(value: int) -> str:

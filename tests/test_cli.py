@@ -274,14 +274,15 @@ class TestValidateConfig:
 
 class TestBadConfigExits1:
     @pytest.mark.parametrize("overrides, reason", [
-        ({"agents": {"deployment": {"container_start_s": -1}}}, "deployment durations must be non-negative"),
+        ({"agents": {"deployment": {"container_start_s": -1}}},
+         "agents.deployment.container_start_s must be non-negative"),
         ({"agents": {"tariffs": ["x"]}}, "agents.tariffs"),
         ({"agents": {"jitter_fraction": 1.5}}, "agents.jitter_fraction must be in [0, 1)"),
-        ({"scenario_timeout_s": -5}, "scenario timeout must be positive"),
+        ({"scenario_timeout_s": -5}, "scenario_timeout_s must be positive"),
         ({"runs": True}, "runs must be an integer"),
         ({"sweep": {"n_systems": [1, 10]}}, "sweep.n_systems"),
-        ({"agents": {"reaction_delay_s": -1}}, "agent delays must be non-negative"),
-        ({"consensus": {"message_delay_s": -1}}, "consensus delays must be non-negative"),
+        ({"agents": {"reaction_delay_s": -1}}, "agents.reaction_delay_s must be non-negative"),
+        ({"consensus": {"message_delay_s": -1}}, "consensus.message_delay_s must be non-negative"),
         ({"agents": {"genesis_balance": 1}},
          "agents.genesis_balance must be at least agents.announce_deposit"),
         ({"agents": {"announce_deposit": 1}},
@@ -332,6 +333,22 @@ class TestBadConfigExits1:
           "scenario_timeout_s": 1e301},
          "scenario_timeout_s must span at most 1000000 block periods"),
         ({"scenario_timeout_s": 1e7}, "scenario_timeout_s must span at most 1000000 block periods"),
+        # A nonzero value that reads as 0 millionths is refused, whatever its sign.
+        ({"scenario_timeout_s": 1e-7}, "scenario_timeout_s rounds to 0"),
+        ({"consensus": {"block_period_s": 1e-7}}, "consensus.block_period_s rounds to 0"),
+        ({"consensus": {"message_delay_s": -1e-7}}, "consensus.message_delay_s rounds to 0"),
+        ({"agents": {"deployment": {"vxlan_setup_s": -1e-7}}},
+         "agents.deployment.vxlan_setup_s rounds to 0"),
+        ({"agents": {"sla": {"penalty": -1e-7}}}, "agents.sla.penalty rounds to 0"),
+        ({"agents": {"sla": {"min_availability": -1e-7}}}, "agents.sla.min_availability rounds to 0"),
+        ({"agents": {"sla": {"max_latency_ms": -0.0001}}}, "agents.sla.max_latency_ms rounds to 0"),
+        # Each reason names the one key that failed.
+        ({"consensus": {"block_period_s": 0}}, "consensus.block_period_s must be positive"),
+        ({"consensus": {"validation_cost_s": -1}}, "consensus.validation_cost_s must be non-negative"),
+        ({"topology": {"n_systems": 1}}, "topology.n_systems must be at least 2, got 1"),
+        ({"consensus": {"algorithm": "raft"}}, "unknown variant 'raft' in consensus.algorithm"),
+        ({"sweep": {"variants": ["clique", "pow"]}}, "unknown variant 'pow' in sweep.variants[1]"),
+        ({"concurrency_mode": "bursty"}, "unknown concurrency_mode 'bursty'"),
     ], ids=["negative_container_start", "non_numeric_tariff", "jitter_above_one",
             "negative_timeout", "boolean_runs", "sweep_below_two_systems",
             "negative_reaction_delay", "negative_message_delay",
@@ -347,7 +364,13 @@ class TestBadConfigExits1:
             "repeated_sweep_n_systems", "repeated_sweep_variants", "infinite_top_bid_price",
             "negative_sla_penalty", "availability_above_one", "availability_below_zero",
             "negative_max_latency", "split_contradicting_n_systems",
-            "timeout_of_a_never_ending_deployment", "timeout_beyond_a_million_blocks"])
+            "timeout_of_a_never_ending_deployment", "timeout_beyond_a_million_blocks",
+            "timeout_rounding_to_zero", "block_period_rounding_to_zero",
+            "message_delay_rounding_to_zero", "vxlan_setup_rounding_to_zero",
+            "sla_penalty_rounding_to_zero", "availability_rounding_to_zero",
+            "max_latency_rounding_to_zero", "zero_block_period", "negative_validation_cost",
+            "one_system", "unknown_algorithm", "unknown_sweep_variant",
+            "unknown_concurrency_mode"])
     def test_rejected_in_parsing_with_one_line_reason(self, tmp_path, capsys, overrides, reason):
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "out"

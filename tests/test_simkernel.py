@@ -2,6 +2,7 @@ import gc
 import hashlib
 import heapq
 import itertools
+import re
 import weakref
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -11,14 +12,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgefed import simkernel
-from edgefed.agents import ConsumerAgent, ProviderAgent
+from edgefed.agents import ConsumerAgent, DeploymentModel, PricingContext, ProviderAgent
 from edgefed.canonical import digest
-from edgefed.contract import BidPlaced, FederationClosed, FederationContract, ServiceAnnounced
-from edgefed.ledger import Algorithm, block_digest
+from edgefed.contract import (
+    BidPlaced,
+    ContractGenesis,
+    FederationClosed,
+    FederationContract,
+    ServiceAnnounced,
+)
+from edgefed.ledger import Address, Algorithm, ConsensusConfig, block_digest
 from edgefed.metrics import read_csv, write_csv
 from edgefed.simkernel import (
     MODE_ALL,
     MODE_SINGLE,
+    AgentParams,
     ConfigInvalid,
     EventQueue,
     ScenarioConfig,
@@ -620,6 +628,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigInvalid):
             parse_config({"concurrency_mode": "bursty"})
 
+    def test_a_record_refusal_reaches_the_caller_unconverted(self):
+        with pytest.raises(ConfigInvalid, match="agents.hour_of_day must be in 0..23") as caught:
+            parse_config({"agents": {"hour_of_day": 24}})
+        assert caught.value.__cause__ is None and caught.value.__context__ is None
+
+    def test_ranges_apply_to_the_rounded_value(self):
+        cfg = parse_config({"agents": {"sla": {"min_availability": 1.0000004}}})
+        assert cfg.agents.sla.min_availability_micro == to_micro(1.0)
+        # Only a nonzero value that rounds to 0 is refused; a zero is read as 0.
+        for zero in (0, 0.0, -0.0):
+            assert parse_config({"consensus": {"message_delay_s": zero}}).message_delay_us == 0
+
 
 class TestScenarioConfigInvariants:
     def test_split_consistency_enforced(self):
@@ -636,3 +656,32 @@ class TestScenarioConfigInvariants:
     def test_positive_roles_enforced(self):
         with pytest.raises(ConfigInvalid):
             ScenarioConfig(n_systems=2, consumers=2, providers=0)
+
+
+_FOUR_VALIDATORS = tuple(Address.derive("validator", i) for i in range(4))
+
+
+@pytest.mark.parametrize("build, reason", [
+    (lambda: ScenarioConfig(timeout_us=0), "scenario_timeout_s must be positive"),
+    (lambda: ScenarioConfig(block_period_us=0), "consensus.block_period_s must be positive"),
+    (lambda: AgentParams(reaction_delay_us=-1), "agents.reaction_delay_s must be non-negative"),
+    (lambda: PricingContext(hour_of_day=24, time_factor_curve=(1.0,) * 24),
+     "agents.hour_of_day must be in 0..23"),
+    (lambda: DeploymentModel(vxlan_setup_us=-1),
+     "agents.deployment.vxlan_setup_s must be non-negative"),
+    (lambda: ConsensusConfig(Algorithm.CLIQUE, 0, validators=_FOUR_VALIDATORS),
+     "consensus.block_period_s must be positive"),
+    (lambda: ConsensusConfig(Algorithm.QBFT, 5_000_000, message_delay_us=-10**6,
+                             validators=_FOUR_VALIDATORS),
+     "consensus.message_delay_s must be non-negative"),
+    (lambda: ContractGenesis(min_offers=0), "min_offers must be at least 1, got 0"),
+    (lambda: generate_topology(1), "topology.n_systems must be at least 2, got 1"),
+], ids=["scenario_timeout", "scenario_block_period", "agent_reaction_delay", "pricing_hour",
+        "deployment_vxlan_setup", "consensus_block_period", "consensus_negative_message_delay",
+        "genesis_min_offers", "topology_one_system"])
+def test_each_config_record_refuses_a_bad_value_with_one_exception_type(build, reason):
+    """A library caller building a record directly is refused as a document is:
+    by `ConfigInvalid`, which is a `ValueError`."""
+    with pytest.raises(ValueError, match=re.escape(reason)) as caught:
+        build()
+    assert isinstance(caught.value, ConfigInvalid)
