@@ -15,6 +15,13 @@ A block's `parent_digest` is computed when it is first read and then cached
 on the block; until then the block holds its parent `Block`. So a run hashes
 no block unless something reads a digest, and a lone `Block` keeps its
 ancestors alive until its digest is read.
+
+A run's memory grows with its transactions, so the per-transaction cost is
+kept down. The submissions of one instant share one clock value: each
+stores the `submit_time_us` object of the pending transaction before it.
+A block is ordered without a key object per transaction: two stable sorts
+on fields the transactions already hold, sender bytes then submit time, of
+which a block of one instant needs only the first.
 """
 
 import hashlib
@@ -183,7 +190,8 @@ class StampedEvent:
 
 # A block's tx order: submit time, then sender. Sender bytes order exactly as
 # Address (order=True over `value`) does, without a dataclass comparison.
-_BLOCK_ORDER = attrgetter("submit_time_us", "sender.value")
+_SUBMIT_TIME = attrgetter("submit_time_us")
+_SENDER = attrgetter("sender.value")
 
 
 class Ledger:
@@ -213,8 +221,12 @@ class Ledger:
         if now_us < 0:
             raise LedgerError("submit_time must be non-negative")
         mempool = self.mempool
-        if mempool and now_us < mempool[-1].submit_time_us:
-            raise LedgerError("submit_time must not precede the last pending submission")
+        if mempool:
+            last_us = mempool[-1].submit_time_us
+            if now_us == last_us:
+                now_us = last_us  # one int object per instant, not one per transaction
+            elif now_us < last_us:
+                raise LedgerError("submit_time must not precede the last pending submission")
         key = sender.value
         nonce = self._next_nonce.get(key, 0)
         self._next_nonce[key] = nonce + 1
@@ -235,11 +247,18 @@ class Ledger:
             )
         height = len(self.chain)
         validators = self.consensus.validators
+        mempool = self.mempool
         # Strictly before the boundary: a tx submitted at the production
         # instant waits for the next block.
-        cut = bisect_left(self.mempool, now_us, key=lambda tx: tx.submit_time_us)
-        ready, self.mempool = self.mempool[:cut], self.mempool[cut:]
-        ready.sort(key=_BLOCK_ORDER)
+        cut = bisect_left(mempool, now_us, key=_SUBMIT_TIME)
+        ready = mempool[:cut]
+        del mempool[:cut]
+        # `ready` is in clock order, so a stable sort by sender, then by
+        # submit time when it spans more than one instant, gives the order.
+        one_instant = not ready or ready[0].submit_time_us == ready[-1].submit_time_us
+        ready.sort(key=_SENDER)
+        if not one_instant:
+            ready.sort(key=_SUBMIT_TIME)
         block = Block(
             height=height,
             proposer=validators[height % len(validators)],

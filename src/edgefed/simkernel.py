@@ -200,11 +200,15 @@ class AgentParams:
         if not self.tariffs_micro:
             raise ConfigInvalid("agents.tariffs must not be empty")
         if min(self.tariffs_micro) <= 0:
-            # Every bid would be priced at the 1 micro-unit floor.
             raise ConfigInvalid("agents.tariffs must be positive")
         ctx = self.pricing
-        if not math.isfinite(max(self.tariffs_micro) * ctx.time_factor_curve[ctx.hour_of_day]
-                             * (1 + ctx.jitter_fraction)):
+        factor = ctx.time_factor_curve[ctx.hour_of_day]
+        if min(self.tariffs_micro) * factor * (1 - ctx.jitter_fraction) < 1:
+            # The lowest price a bid can draw: below 1 micro-unit, bids reach
+            # the pricer's floor of 1 and winners go by address alone.
+            raise ConfigInvalid("agents.tariffs x time_factor_curve[hour_of_day] x "
+                                "(1 - jitter_fraction) must be at least 1 micro-unit")
+        if not math.isfinite(max(self.tariffs_micro) * factor * (1 + ctx.jitter_fraction)):
             # The highest price a bid can draw: a pricer cannot round infinity.
             raise ConfigInvalid("agents.tariffs x time_factor_curve[hour_of_day] x "
                                 "(1 + jitter_fraction) must be finite")

@@ -319,6 +319,9 @@ class TestBadConfigExits1:
          "sweep.variants must not repeat a value"),
         ({"agents": {"tariffs": [1.7e302], "hour_of_day": 17}, "runs": 1},
          "agents.tariffs x time_factor_curve[hour_of_day] x (1 + jitter_fraction) must be finite"),
+        ({"agents": {"time_factor_curve": [1e-30] * 24}, "runs": 1, "topology": {"n_systems": 10}},
+         "agents.tariffs x time_factor_curve[hour_of_day] x (1 - jitter_fraction) "
+         "must be at least 1 micro-unit"),
         ({"agents": {"genesis_balance": -1, "announce_deposit": -2, "sla": {"penalty": -3}},
           "runs": 1}, "agents.sla.penalty must be non-negative"),
         ({"agents": {"sla": {"min_availability": 7.5}}},
@@ -362,6 +365,7 @@ class TestBadConfigExits1:
             "negative_tariff", "zero_tariff", "hour_of_day_24", "two_entry_curve",
             "zero_time_factor", "empty_sweep_n_systems", "empty_sweep_variants",
             "repeated_sweep_n_systems", "repeated_sweep_variants", "infinite_top_bid_price",
+            "lowest_bid_price_below_one_micro_unit",
             "negative_sla_penalty", "availability_above_one", "availability_below_zero",
             "negative_max_latency", "split_contradicting_n_systems",
             "timeout_of_a_never_ending_deployment", "timeout_beyond_a_million_blocks",
@@ -412,6 +416,13 @@ class TestBadConfigExits1:
 
     def test_genesis_balance_equal_to_deposit_is_valid(self, tmp_path, capsys):
         cfg = write_config(tmp_path, agents={"genesis_balance": 10, "announce_deposit": 10})
+        assert main(["validate-config", "--config", str(cfg)]) == EXIT_OK
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+    def test_lowest_bid_price_of_one_micro_unit_is_valid(self, tmp_path, capsys):
+        # 2 micro-units x 1.0 x (1 - 0.5): the lowest drawable price is exactly 1.
+        cfg = write_config(tmp_path, agents={"tariffs": [2e-6], "time_factor_curve": [1.0] * 24,
+                                             "jitter_fraction": 0.5})
         assert main(["validate-config", "--config", str(cfg)]) == EXIT_OK
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
 

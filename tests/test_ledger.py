@@ -1,8 +1,12 @@
 import dataclasses
+import gc
 import json
 import random
+import sys
+import tracemalloc
 
 import pytest
+from hypothesis import given, strategies as st
 
 from edgefed import ledger as ledger_module
 from edgefed.canonical import digest
@@ -31,7 +35,7 @@ from edgefed.ledger import (
     finality_delay_us,
     write_chain_dump,
 )
-from edgefed.simkernel import run_once
+from edgefed.simkernel import build_cell, run_once
 from edgefed.units import to_micro
 
 from conftest import addr, clique_config, qbft_config, scenario
@@ -200,6 +204,85 @@ class TestBlockProduction:
             return digest([b for b in ledger.chain])
 
         assert build() == build()
+
+
+PERIOD_US = to_micro(5.0)
+SENDERS = [addr(tag) for tag in "abcd"]
+
+
+class TestBlockOrder:
+    @given(st.lists(st.tuples(st.integers(-3, 1), st.sampled_from(SENDERS)), max_size=40))
+    def test_a_block_is_the_stable_sort_of_the_ready_transactions(self, drawn):
+        # Offsets in microseconds from the first block boundary: several
+        # instants before it, the boundary itself and one after, with
+        # senders repeated within and across instants.
+        ledger = make_ledger()
+        mempool = ledger.mempool
+        submitted = [ledger.submit(sender, Ping(), PERIOD_US + offset)
+                     for offset, sender in sorted(drawn, key=lambda d: d[0])]
+        block = ledger.produce_block(PERIOD_US)
+        ready = [tx for tx in submitted if tx.submit_time_us < PERIOD_US]
+        assert list(block.txs) == sorted(ready, key=lambda tx: (tx.submit_time_us,
+                                                                tx.sender.value))
+        assert ledger.mempool is mempool
+        assert ledger.mempool == [tx for tx in submitted if tx.submit_time_us >= PERIOD_US]
+
+
+def traced(action):
+    """`action()`, and the bytes tracemalloc saw it leave held and its peak
+    rise, both above what was traced when it started."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = action()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, held - start, peak - start
+
+
+# Traced bytes that one N=100 all-at-once clique run holds per transaction,
+# by CPython minor version: measured 448 on 3.10, 430 on 3.11, 429 on 3.12
+# and 430 on 3.13, plus about 5%. With a clock value of its own per
+# transaction, and the sort-key tuples that CPython's tuple free list kept
+# after each block, a run held 505-519.
+HELD_BYTES_PER_TX = {10: 470, 11: 450, 12: 450, 13: 450}
+
+
+class TestMemory:
+    def test_submissions_at_one_instant_share_one_clock_value(self):
+        ledger = make_ledger()
+        instants = [to_micro(1.0) for _ in range(3)]
+        assert instants[0] is not instants[1]  # equal, but separate objects
+        txs = [ledger.submit(addr(f"s{i}"), Ping(), t) for i, t in enumerate(instants)]
+        assert all(tx.submit_time_us is instants[0] for tx in txs)
+        later = ledger.submit(addr("s"), Ping(), to_micro(2.0))
+        assert later.submit_time_us == to_micro(2.0)
+
+    def test_a_block_of_one_instant_adds_under_32_bytes_per_transaction_to_the_peak(self):
+        n = 10_000
+        ledger = make_ledger()
+        for i in reversed(range(n)):
+            ledger.submit(Address(i.to_bytes(20, "big")), Ping(), to_micro(1.0))
+        block, _, peak = traced(lambda: ledger.produce_block(PERIOD_US))
+        assert len(block.txs) == n
+        assert peak / n < 32  # a (time, sender) key tuple per transaction: about 70
+
+    def test_a_run_holds_a_bounded_number_of_bytes_per_transaction(self):
+        bound = HELD_BYTES_PER_TX.get(sys.version_info.minor)
+        if bound is None:
+            pytest.skip(f"no bound measured on Python 3.{sys.version_info.minor}")
+        cfg = scenario(n=100)
+        cell = build_cell(cfg)
+        result, held, _ = traced(lambda: run_once(cfg, 0, cell))
+        txs = sum(len(block.txs) for block in result.blocks)
+        assert txs == 1920
+        assert held / txs < bound
 
 
 def _empty_chain(blocks: int) -> list:
