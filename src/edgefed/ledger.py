@@ -22,6 +22,10 @@ stores the `submit_time_us` object of the pending transaction before it.
 A block is ordered without a key object per transaction: two stable sorts
 on fields the transactions already hold, sender bytes then submit time, of
 which a block of one instant needs only the first.
+
+A block's fixed cost is kept down too, since one comes every period: an
+empty or wholly ready mempool is not searched, a block of one transaction is
+not sorted, and a `Block` is built by filling its instance dict.
 """
 
 import hashlib
@@ -56,7 +60,7 @@ class Address:
 
     @classmethod
     def derive(cls, *parts) -> "Address":
-        material = "/".join(str(p) for p in parts).encode("utf-8")
+        material = "/".join(map(str, parts)).encode("utf-8")
         return cls(hashlib.sha256(material).digest()[:20])
 
     @property
@@ -136,7 +140,7 @@ class Transaction:
     nonce: int
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class Block:
     """A produced block: its transactions in order, its parent and its finality."""
     height: int
@@ -146,6 +150,17 @@ class Block:
     parent_digest: "str | Block"  # the parent Block until first read: _ParentDigest
     finality_time_us: int
 
+    def __init__(self, height, proposer, timestamp_us, txs, parent_digest, finality_time_us):
+        # Fills the instance dict, where every field is read, directly: the
+        # frozen dataclass's __init__ would call object.__setattr__ per field.
+        values = self.__dict__
+        values["height"] = height
+        values["proposer"] = proposer
+        values["timestamp_us"] = timestamp_us
+        values["txs"] = txs
+        values["parent_digest"] = parent_digest
+        values["finality_time_us"] = finality_time_us
+
 
 def block_digest(block: Block) -> str:
     return canonical.digest(block)
@@ -153,8 +168,8 @@ def block_digest(block: Block) -> str:
 
 class _ParentDigest:
     """`Block.parent_digest`: the parent `Block` until first read, then its
-    digest. Kept in the instance `__dict__`, which the frozen `__init__`
-    reaches through `object.__setattr__` and so through `__set__`."""
+    digest. Kept in the instance `__dict__`; `__set__` makes this a data
+    descriptor, so reads come here and not from the dict."""
 
     def __get__(self, block, owner=None):
         if block is None:
@@ -197,6 +212,7 @@ _SENDER = attrgetter("sender.value")
 class Ledger:
     def __init__(self, consensus: ConsensusConfig):
         self.consensus = consensus
+        self._period_us = consensus.block_period_us
         self._finality_delay_us = finality_delay_us(consensus)
         genesis = Block(
             height=0,
@@ -238,36 +254,39 @@ class Ledger:
     # -- blocks ------------------------------------------------------------
 
     def next_block_time_us(self) -> int:
-        return len(self.chain) * self.consensus.block_period_us
+        return len(self.chain) * self._period_us
 
     def produce_block(self, now_us: int) -> Block:
-        if now_us != self.next_block_time_us():
+        chain = self.chain
+        height = len(chain)
+        if now_us != height * self._period_us:
             raise ValueError(
                 f"block production at t={now_us}us, expected t={self.next_block_time_us()}us"
             )
-        height = len(self.chain)
-        validators = self.consensus.validators
+        txs = ()
         mempool = self.mempool
-        # Strictly before the boundary: a tx submitted at the production
-        # instant waits for the next block.
-        cut = bisect_left(mempool, now_us, key=_SUBMIT_TIME)
-        ready = mempool[:cut]
-        del mempool[:cut]
-        # `ready` is in clock order, so a stable sort by sender, then by
-        # submit time when it spans more than one instant, gives the order.
-        one_instant = not ready or ready[0].submit_time_us == ready[-1].submit_time_us
-        ready.sort(key=_SENDER)
-        if not one_instant:
-            ready.sort(key=_SUBMIT_TIME)
-        block = Block(
-            height=height,
-            proposer=validators[height % len(validators)],
-            timestamp_us=now_us,
-            txs=tuple(ready),
-            parent_digest=self.chain[-1],
-            finality_time_us=now_us + self._finality_delay_us,
-        )
-        self.chain.append(block)
+        if mempool:
+            # Strictly before the boundary: a tx submitted at the production
+            # instant waits for the next block.
+            if mempool[-1].submit_time_us < now_us:
+                cut = len(mempool)
+            else:
+                cut = bisect_left(mempool, now_us, key=_SUBMIT_TIME)
+            ready = mempool[:cut]
+            del mempool[:cut]
+            if cut > 1:
+                # `ready` is in clock order, so a stable sort by sender, then
+                # by submit time when it spans more than one instant, gives
+                # the order.
+                one_instant = ready[0].submit_time_us == ready[-1].submit_time_us
+                ready.sort(key=_SENDER)
+                if not one_instant:
+                    ready.sort(key=_SUBMIT_TIME)
+            txs = tuple(ready)
+        validators = self.consensus.validators
+        block = Block(height, validators[height % len(validators)], now_us, txs, chain[-1],
+                      now_us + self._finality_delay_us)
+        chain.append(block)
         return block
 
     # -- export --------------------------------------------------------------

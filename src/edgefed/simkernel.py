@@ -47,6 +47,7 @@ import os
 import random
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
+from operator import attrgetter
 
 from .agents import (
     ConsumerAgent,
@@ -177,6 +178,19 @@ VARIANTS = ("clique", "qbft", "soa")
 MODE_SINGLE = "single"
 MODE_ALL = "all_consumers_simultaneous"
 
+# A chain run holds about 391 B of each transaction it makes until it ends
+# and spends about 5 µs on it (README "Memory"), so 10^7 transactions are
+# about 4 GB and 50 s a run, and 10^8 about 8 minutes a cell of runs.
+MAX_TXS_PER_RUN = 10**7
+MAX_TXS_PER_CELL = 10**8
+
+
+def run_transactions(consumers: int, providers: int) -> int:
+    """Transactions one chain run makes when every federation completes: a
+    bid per consumer and provider, and each consumer's announcement,
+    selection, confirmation and close."""
+    return consumers * (providers + 4)
+
 
 @dataclass(frozen=True)
 class AgentParams:
@@ -256,9 +270,8 @@ class ScenarioConfig:
             # It starts every output file name, so it must not leave the output directory.
             raise ConfigInvalid(f"scenario_id must be a plain file name, got {self.scenario_id!r}")
         if self.consumers + self.providers != self.n_systems:
-            raise ConfigInvalid(
-                f"split ({self.consumers},{self.providers}) does not sum to n_systems={self.n_systems}"
-            )
+            raise ConfigInvalid(f"topology.split ({self.consumers},{self.providers}) does not "
+                                f"sum to topology.n_systems={self.n_systems}")
         if self.consumers < 1 or self.providers < 1:
             raise ConfigInvalid("topology.split needs at least one consumer and one provider")
         for i, variant in enumerate((self.variant, *self.sweep_variants)):
@@ -285,6 +298,19 @@ class ScenarioConfig:
             raise ConfigInvalid("sweep.n_systems must each be at least 2")
         if not isinstance(self.output_dir, (str, type(None))):
             raise ConfigInvalid("output.dir must be a string")
+        # The work bound, estimated before any run starts: `run` runs the
+        # topology, `sweep` each of its sizes, the largest making the most.
+        largest = max(self.sweep_n)
+        for key, n, txs in (("topology.n_systems", self.n_systems,
+                             run_transactions(self.consumers, self.providers)),
+                            ("sweep.n_systems", largest,
+                             run_transactions(*generate_topology(largest)))):
+            if txs > MAX_TXS_PER_RUN:
+                raise ConfigInvalid(f"{key}={n} makes {txs:,} transactions a run, "
+                                    f"over the limit of {MAX_TXS_PER_RUN:,}")
+            if txs * self.runs > MAX_TXS_PER_CELL:
+                raise ConfigInvalid(f"runs={self.runs} at {key}={n} make {txs * self.runs:,} "
+                                    f"transactions a cell, over the limit of {MAX_TXS_PER_CELL:,}")
 
 
 def _number(convert, integer: bool = False):
@@ -440,15 +466,17 @@ class Participants:
     bootstrap: Address
 
 
+# Address order is byte order of `value`; sorting by it skips Address.__lt__.
+_ADDRESS_BYTES = attrgetter("value")
+
+
 def build_participants(cfg: ScenarioConfig) -> Participants:
-    consumers = sorted(
-        Address.derive("edgefed", cfg.seed, "consumer", i) for i in range(cfg.consumers)
-    )
-    providers = sorted(
-        Address.derive("edgefed", cfg.seed, "provider", j) for j in range(cfg.providers)
-    )
-    bootstrap = Address.derive("edgefed", cfg.seed, "bootstrap")
-    return Participants(tuple(consumers), tuple(providers), bootstrap)
+    derive, seed = Address.derive, cfg.seed
+    consumers = sorted((derive("edgefed", seed, "consumer", i) for i in range(cfg.consumers)),
+                       key=_ADDRESS_BYTES)
+    providers = sorted((derive("edgefed", seed, "provider", j) for j in range(cfg.providers)),
+                       key=_ADDRESS_BYTES)
+    return Participants(tuple(consumers), tuple(providers), derive("edgefed", seed, "bootstrap"))
 
 
 def build_profiles(cfg: ScenarioConfig, participants: Participants):
@@ -579,7 +607,9 @@ class _ChainRun:
                 provider for rank, provider in enumerate(self.providers)
                 if rngs.stream(f"abstain/run{run_index}/provider{rank}").random() >= abstain
             ]
-        self._agent_by_address = {a.profile.address: a for a in (*self.providers, *self.consumers)}
+        # By address bytes, which hash without a Python-level call.
+        self._agent_by_address = {a.profile.address.value: a
+                                  for a in (*self.providers, *self.consumers)}
         self._consumer_by_ann = {}
         # Each consumer's trace fields, filled in by _deliver. They are made
         # here, before the run allocates its transactions: made as each
@@ -603,11 +633,11 @@ class _ChainRun:
         # do: it exempts only what exists when it is called, not what the
         # run allocates after, and gc.unfreeze() cannot tell the run's
         # frozen objects from any the caller had frozen itself.
-        peek_time, step = self.kernel.peek_time, self.kernel.step
+        peek_time, step, timeout_us = self.kernel.peek_time, self.kernel.step, cfg.timeout_us
         collecting = gc.isenabled()
         gc.disable()
         try:
-            while (fire_us := peek_time()) is not None and fire_us <= cfg.timeout_us:
+            while (fire_us := peek_time()) is not None and fire_us <= timeout_us:
                 step()
             return RunResult(
                 run_index=self.run_index,
@@ -629,7 +659,7 @@ class _ChainRun:
         self.published.append((block, events))
         if events:
             self.kernel.schedule(block.finality_time_us, partial(self._deliver, block, events))
-        next_time = self.ledger.next_block_time_us()
+        next_time = now + self.cfg.block_period_us
         if self.contract.closed < len(self.consumers) and next_time <= self.cfg.timeout_us:
             self.kernel.schedule(next_time, self._on_block_time)
 
@@ -640,7 +670,7 @@ class _ChainRun:
         final_us = block.finality_time_us
         consumer_by_ann, steps = self._consumer_by_ann, self._steps
         min_offers = self.genesis.min_offers
-        submitted = None  # sender -> submit instant of its announcement in this block
+        submitted = None  # sender bytes -> submit instant of its announcement in this block
         for event in events:
             kind = type(event)
             if kind is BidPlaced:  # most events: one per bid
@@ -652,10 +682,10 @@ class _ChainRun:
                     consumer.handle(event, final_us)
             elif kind is ServiceAnnounced:
                 # The event carries no sender; the contract recorded it.
-                sender = self.contract.federations[event.ann_id].announcement.consumer
+                sender = self.contract.federations[event.ann_id].announcement.consumer.value
                 consumer = consumer_by_ann[event.ann_id] = self._agent_by_address[sender]
                 if submitted is None:
-                    submitted = {tx.sender: tx.submit_time_us for tx in block.txs
+                    submitted = {tx.sender.value: tx.submit_time_us for tx in block.txs
                                  if type(tx.payload) is AnnounceService}
                 steps[consumer].update(ann_id=event.ann_id, announce_submitted_us=submitted[sender])
                 for provider in self._bidders:
@@ -663,7 +693,7 @@ class _ChainRun:
             elif kind is ProviderChosen:
                 steps[consumer_by_ann[event.ann_id]].update(winner=event.winner.hex,
                                                             winner_finalized_us=final_us)
-                self._agent_by_address[event.winner].handle(event, final_us)
+                self._agent_by_address[event.winner.value].handle(event, final_us)
             elif kind is DeploymentConfirmed:  # its consumer closes once attached
                 consumer = consumer_by_ann[event.ann_id]
                 close_us = final_us + consumer.profile.attach_time_us

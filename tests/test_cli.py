@@ -9,6 +9,7 @@ import pytest
 from edgefed import metrics, simkernel
 from edgefed.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from edgefed.metrics import CSV_COLUMNS
+from edgefed.simkernel import MAX_TXS_PER_CELL, MAX_TXS_PER_RUN, run_transactions
 
 SWEEP_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "sweep.json"
 
@@ -331,7 +332,7 @@ class TestBadConfigExits1:
         ({"agents": {"sla": {"max_latency_ms": -3}}},
          "agents.sla.max_latency_ms must be non-negative"),
         ({"topology": {"n_systems": 2, "split": [8, 2]}},
-         "split (8,2) does not sum to n_systems=2"),
+         "topology.split (8,2) does not sum to topology.n_systems=2"),
         ({"agents": {"deployment": {"container_start_s": 1e300}}, "runs": 1,
           "scenario_timeout_s": 1e301},
          "scenario_timeout_s must span at most 1000000 block periods"),
@@ -352,6 +353,15 @@ class TestBadConfigExits1:
         ({"consensus": {"algorithm": "raft"}}, "unknown variant 'raft' in consensus.algorithm"),
         ({"sweep": {"variants": ["clique", "pow"]}}, "unknown variant 'pow' in sweep.variants[1]"),
         ({"concurrency_mode": "bursty"}, "unknown concurrency_mode 'bursty'"),
+        # Work no run could finish is refused from its estimate, before any run.
+        ({"runs": 1000000000000},
+         "runs=1000000000000 at topology.n_systems=2 make 5,000,000,000,000 transactions "
+         "a cell, over the limit of 100,000,000"),
+        ({"topology": {"n_systems": 100000000}},
+         "topology.n_systems=100000000 makes 1,600,000,320,000,000 transactions a run, "
+         "over the limit of 10,000,000"),
+        ({"sweep": {"n_systems": [30, 20000]}},
+         "sweep.n_systems=20000 makes 64,064,000 transactions a run, over the limit of 10,000,000"),
     ], ids=["negative_container_start", "non_numeric_tariff", "jitter_above_one",
             "negative_timeout", "boolean_runs", "sweep_below_two_systems",
             "negative_reaction_delay", "negative_message_delay",
@@ -374,7 +384,8 @@ class TestBadConfigExits1:
             "sla_penalty_rounding_to_zero", "availability_rounding_to_zero",
             "max_latency_rounding_to_zero", "zero_block_period", "negative_validation_cost",
             "one_system", "unknown_algorithm", "unknown_sweep_variant",
-            "unknown_concurrency_mode"])
+            "unknown_concurrency_mode", "runs_beyond_the_work_limit_of_a_cell",
+            "n_systems_beyond_the_work_limit_of_a_run", "sweep_beyond_the_work_limit_of_a_run"])
     def test_rejected_in_parsing_with_one_line_reason(self, tmp_path, capsys, overrides, reason):
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "out"
@@ -413,6 +424,22 @@ class TestBadConfigExits1:
             assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
             assert "scenario_id must be a plain file name" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
+    @pytest.mark.parametrize("at_limit, over_limit", [
+        # 1000 consumers x (9996 providers + 4) transactions a run.
+        ({"topology": {"split": [1000, 9996]}, "runs": 1},
+         {"topology": {"split": [1000, 9997]}, "runs": 1}),
+        # 5 transactions a run at N=2, the sweep's only size, in each of 2 x 10^7 runs.
+        ({"runs": 20_000_000, "sweep": {"n_systems": [2]}},
+         {"runs": 20_000_001, "sweep": {"n_systems": [2]}}),
+    ], ids=["per_run", "per_cell"])
+    def test_a_document_at_the_work_limit_is_valid(self, tmp_path, capsys, at_limit, over_limit):
+        assert run_transactions(1000, 9996) == MAX_TXS_PER_RUN
+        assert run_transactions(1, 1) * 20_000_000 == MAX_TXS_PER_CELL
+        at, over = write_config(tmp_path, **at_limit), write_config(tmp_path, "over.json", **over_limit)
+        assert main(["validate-config", "--config", str(at)]) == EXIT_OK
+        assert main(["validate-config", "--config", str(over)]) == EXIT_CONFIG
+        assert "over the limit of" in capsys.readouterr().err
 
     def test_genesis_balance_equal_to_deposit_is_valid(self, tmp_path, capsys):
         cfg = write_config(tmp_path, agents={"genesis_balance": 10, "announce_deposit": 10})

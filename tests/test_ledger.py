@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import json
 import random
 import sys
@@ -226,6 +227,44 @@ class TestBlockOrder:
                                                                 tx.sender.value))
         assert ledger.mempool is mempool
         assert ledger.mempool == [tx for tx in submitted if tx.submit_time_us >= PERIOD_US]
+
+    # Submission instants on quarter periods, boundaries included, across
+    # BOUNDARIES periods; before each block a drawn number of them is
+    # submitted, so a block can find the mempool empty, all ready, or partly
+    # ready (a submission at or past its boundary waits), and can hold
+    # several instants.
+    BOUNDARIES = 8
+    INSTANTS = [q * PERIOD_US // 4 for q in range(4 * BOUNDARIES + 1)]
+
+    @given(st.lists(st.tuples(st.sampled_from(INSTANTS), st.sampled_from(SENDERS)), max_size=40),
+           st.lists(st.integers(0, 12), min_size=BOUNDARIES, max_size=BOUNDARIES))
+    def test_each_block_of_a_sequence_takes_the_ready_transactions_in_order(self, drawn, batches):
+        ledger = make_ledger(4, Algorithm.QBFT)
+        mempool, validators = ledger.mempool, ledger.consensus.validators
+        delay = finality_delay_us(ledger.consensus)
+        to_submit = iter(sorted(drawn, key=lambda d: d[0]))
+        pending = []
+        for height, batch in enumerate(batches, start=1):
+            pending += [ledger.submit(sender, Ping(), t)
+                        for t, sender in itertools.islice(to_submit, batch)]
+            now = height * PERIOD_US
+            block = ledger.produce_block(now)
+            ready = [tx for tx in pending if tx.submit_time_us < now]
+            pending = [tx for tx in pending if tx.submit_time_us >= now]
+            assert list(block.txs) == sorted(ready, key=lambda tx: (tx.submit_time_us,
+                                                                    tx.sender.value))
+            assert ledger.mempool is mempool and mempool == pending
+            assert (block.height, block.timestamp_us, block.proposer, block.finality_time_us) \
+                == (height, now, validators[height % len(validators)], now + delay)
+        chain = ledger.chain
+        assert chain[-1].parent_digest == block_digest(chain[-2])
+
+    def test_production_off_the_next_boundary_is_refused(self):
+        ledger = make_ledger()
+        for now in (0, PERIOD_US - 1, PERIOD_US + 1, 2 * PERIOD_US):
+            with pytest.raises(ValueError, match=f"expected t={PERIOD_US}us"):
+                ledger.produce_block(now)
+        assert len(ledger.chain) == 1
 
 
 def traced(action):

@@ -78,6 +78,21 @@ def test_run_matches_the_frozen_reference(case, tmp_path):
     assert b",true\n" in csv  # federations complete, so the comparison covers them
 
 
+def test_a_long_wait_in_empty_blocks_matches_the_frozen_reference():
+    """One deployment that takes 50,000 s: the chain makes a block every
+    period while it waits, 10,001 of its 10,006 blocks empty."""
+    doc = {"agents": {"deployment": {"container_start_s": 50000}}, "runs": 1,
+           "scenario_timeout_s": 100000, "seed": 7}
+    chain, ref_chain = (sim.run_once(sim.parse_config(doc, scenario_id="oracle"), 0).blocks
+                        for sim in (simkernel, ref_simkernel))
+    assert len(chain) == len(ref_chain) == 10_006
+    assert sum(not block.txs for block in chain) == 10_001
+    assert [(block.timestamp_us, block.proposer.value, block.finality_time_us)
+            for block in chain] == [(block.timestamp_us, block.proposer.value,
+                                     block.finality_time_us) for block in ref_chain]
+    assert chain[-1].parent_digest == ref_chain[-1].parent_digest
+
+
 SWEEP_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "sweep.json"
 
 

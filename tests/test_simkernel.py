@@ -235,6 +235,15 @@ class TestRoles:
         assert len(everyone) == cfg.n_systems + 1
         assert not (set(parts.consumers) & set(parts.providers))
 
+    @given(st.integers(0, 2**64), st.integers(2, 80))
+    @settings(max_examples=50, deadline=None)
+    def test_role_lists_are_in_address_order(self, seed, n):
+        cfg = scenario(n=n, seed=seed)
+        parts = build_participants(cfg)
+        for role, count in ((parts.consumers, cfg.consumers), (parts.providers, cfg.providers)):
+            assert type(role) is tuple and len(role) == count
+            assert all(a < b for a, b in zip(role, role[1:]))  # Address.__lt__
+
     def test_validators_are_providers_plus_bootstrap(self):
         cfg = scenario(n=15, variant="qbft")
         parts = build_participants(cfg)
