@@ -231,7 +231,7 @@ def soa_federate(consumer: ConsumerProfile, providers, rtt_us: int, prices, run:
     return FederationTrace(
         run=run,
         ann_id=ann_id,
-        winner=winner.address.hex,
+        winner=winner.address.hex(),
         announce_submitted_us=0,
         second_bid_finalized_us=query_done,
         winner_finalized_us=query_done,

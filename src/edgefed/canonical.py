@@ -2,8 +2,9 @@
 
 Every replicated structure (blocks, contract state) is hashed over a single
 deterministic encoding: type-tagged, length-prefixed bytes with dataclass
-fields in declaration order and map entries sorted by encoded key. Floats are
-rejected on purpose; replicated state must be fixed-point.
+fields in declaration order and map entries sorted by encoded key. A `bytes`
+subclass is written as a record of its type with its bytes as the one field.
+Floats are rejected on purpose; replicated state must be fixed-point.
 
 `_write` appends a value's encoding to a `bytearray` passed in. A digest
 makes one buffer, has the value written into it, and hashes that buffer, so
@@ -52,12 +53,14 @@ def _write(obj, out) -> None:
     elif obj is False:
         tag, body = b"f", b""
     elif isinstance(obj, int):
-        tag, body = b"i", str(obj).encode("ascii")
+        # Its value's digits on every Python, whatever str() of the type
+        # gives: an IntEnum member's str() is its name before 3.11.
+        tag, body = b"i", b"%d" % obj
     elif isinstance(obj, float):
         raise TypeError("floats are not canonical; use integer micro units")
     elif isinstance(obj, str):
         tag, body = b"s", obj.encode("utf-8")
-    elif isinstance(obj, (bytes, bytearray)):
+    elif type(obj) is bytes or type(obj) is bytearray:
         tag, body = b"y", obj
     elif isinstance(obj, Enum):
         tag, body = b"e", f"{type(obj).__name__}.{obj.name}".encode("utf-8")
@@ -69,12 +72,16 @@ def _write(obj, out) -> None:
 
 
 def _record(cls):
-    """(header, field names) of the dataclass `cls`, kept on first use; None
-    for any other type."""
-    if not dataclasses.is_dataclass(cls) or issubclass(cls, type):
+    """(header, field names) of the dataclass `cls`, kept on first use. A
+    `bytes` subclass, such as `ledger.Address`, is a record whose one field
+    is its bytes, so its field names are None. None for any other type."""
+    if issubclass(cls, bytes):
+        fields = None
+    elif dataclasses.is_dataclass(cls) and not issubclass(cls, type):
+        fields = tuple(field.name for field in dataclasses.fields(cls))
+    else:
         return None
     name = cls.__name__.encode("utf-8")
-    fields = tuple(field.name for field in dataclasses.fields(cls))
     record = _RECORDS[cls] = (b"d\0\0\0\0" + _head(b"s", len(name)) + name, fields)
     return record
 
@@ -87,8 +94,12 @@ def _write_composite(obj, out) -> None:
     if record is not None:
         header, fields = record
         out += header
-        for name in fields:
-            _write(getattr(obj, name), out)
+        if fields is None:
+            out += _head(b"y", len(obj))
+            out += obj
+        else:
+            for name in fields:
+                _write(getattr(obj, name), out)
     elif isinstance(obj, (list, tuple)):
         out += b"l\0\0\0\0"
         for item in obj:

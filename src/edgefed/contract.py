@@ -266,11 +266,8 @@ def _unknown_call(contract, sender, call, height):
 class FederationContract:
     def __init__(self, genesis: ContractGenesis):
         self.genesis = genesis
-        self.operators: dict[Address, str] = dict(genesis.operators)
-        # Registration by address bytes, which hash and compare without a
-        # Python-level call; no call adds an operator.
-        self._operator_values = frozenset(address.value for address in self.operators)
-        self.balances: dict[Address, int] = {a: v for a, v in genesis.balances}
+        self.operators: dict[Address, str] = dict(genesis.operators)  # no call adds one
+        self.balances: dict[Address, int] = dict(genesis.balances)
         self.federations: dict[int, FederationRecord] = {}
         self.next_ann_id = 0
         self.min_offers = genesis.min_offers
@@ -299,7 +296,7 @@ class FederationContract:
     # -- handlers ------------------------------------------------------------
 
     def _announce(self, sender, call: AnnounceService, height):
-        if sender.value not in self._operator_values:
+        if sender not in self.operators:
             raise NotRegistered(f"{sender} is not a registered operator")
         if call.deposit_micro < call.sla.penalty_micro:
             raise DepositBelowPenalty(
@@ -331,10 +328,9 @@ class FederationContract:
         record = self.federations.get(ann_id)
         if record is None:
             raise ContractError(f"unknown announcement {ann_id}")
-        key = sender.value
-        if key not in self._operator_values:
+        if sender not in self.operators:
             raise NotRegistered(f"{sender} is not a registered operator")
-        if key == record.announcement.consumer.value:
+        if sender == record.announcement.consumer:
             raise SelfBid("consumer cannot bid on its own announcement")
         if record.phase is not _OPEN:
             raise WrongPhase(f"bidding is over for announcement {ann_id}")
@@ -423,7 +419,7 @@ class FederationContract:
 
 def _jsonable(value):
     if isinstance(value, Address):
-        return value.hex
+        return value.hex()
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             f.name: _jsonable(getattr(value, f.name))

@@ -5,11 +5,11 @@ over a fixed validator set, and per-algorithm finality timing. There is no
 networking or signature checking: identity is asserted, and the whole chain is
 deterministic given the sequence of submissions.
 
-A run makes one transaction per bid, so `Address` and `Transaction` are
-slotted dataclasses: each is one allocation with no instance `__dict__`, and
-a `Transaction` is built through its slots (`canonical.slot_init`).
-Nonces are kept per sender by the sender's bytes, which hash without a
-Python-level `__hash__` call.
+An `Address` is a 20-byte `bytes` subclass with no instance `__dict__`, so
+the nonces, operators, bids and agents keyed by it hash and compare in C;
+`canonical` writes it as a record of one field, its bytes. A run makes one
+transaction per bid, so a `Transaction` is a slotted dataclass built through
+its slots (`canonical.slot_init`).
 
 A block's `parent_digest` is computed when it is first read and then cached
 on the block; until then the block holds its parent `Block`. So a run hashes
@@ -20,7 +20,7 @@ A run's memory grows with its transactions, so the per-transaction cost is
 kept down. The submissions of one instant share one clock value: each
 stores the `submit_time_us` object of the pending transaction before it.
 A block is ordered without a key object per transaction: two stable sorts
-on fields the transactions already hold, sender bytes then submit time, of
+on fields the transactions already hold, sender then submit time, of
 which a block of one instant needs only the first.
 
 A block's fixed cost is kept down too, since one comes every period: an
@@ -48,34 +48,27 @@ class SmallValidatorSetWarning(UserWarning):
     """QBFT with fewer than 4 validators cannot tolerate one Byzantine fault."""
 
 
-@dataclass(frozen=True, order=True, slots=True, repr=False)
-class Address:
-    """20-byte participant identifier, ordered byte-lexicographically."""
+class Address(bytes):
+    """20-byte participant identifier: it equals, hashes and orders as its
+    bytes do."""
 
-    value: bytes
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.value) != 20:
+    def __new__(cls, value: bytes) -> "Address":
+        if len(value) != 20:
             raise ValueError("address must be exactly 20 bytes")
+        return super().__new__(cls, value)
 
     @classmethod
     def derive(cls, *parts) -> "Address":
         material = "/".join(map(str, parts)).encode("utf-8")
         return cls(hashlib.sha256(material).digest()[:20])
 
-    @property
-    def hex(self) -> str:
-        return self.value.hex()
-
     def __str__(self) -> str:
-        return self.value.hex()
+        return self.hex()
 
     def __repr__(self) -> str:
-        return f"Address({self.value.hex()!r})"
-
-    def __hash__(self) -> int:
-        # The bytes object caches its hash; equal addresses have equal bytes.
-        return hash(self.value)
+        return f"Address({self.hex()!r})"
 
 
 class Algorithm(Enum):
@@ -203,10 +196,9 @@ class StampedEvent:
     event: object
 
 
-# A block's tx order: submit time, then sender. Sender bytes order exactly as
-# Address (order=True over `value`) does, without a dataclass comparison.
+# A block's tx order: submit time, then sender.
 _SUBMIT_TIME = attrgetter("submit_time_us")
-_SENDER = attrgetter("sender.value")
+_SENDER = attrgetter("sender")
 
 
 class Ledger:
@@ -226,7 +218,7 @@ class Ledger:
         # In submission order, which is clock order: submit enforces it, so
         # the transactions ready for a block are a prefix.
         self.mempool: list[Transaction] = []
-        self._next_nonce: dict[bytes, int] = {}  # sender.value -> next nonce
+        self._next_nonce: dict[Address, int] = {}
         self._next_tx_id = 0
 
     # -- transactions ------------------------------------------------------
@@ -243,9 +235,8 @@ class Ledger:
                 now_us = last_us  # one int object per instant, not one per transaction
             elif now_us < last_us:
                 raise LedgerError("submit_time must not precede the last pending submission")
-        key = sender.value
-        nonce = self._next_nonce.get(key, 0)
-        self._next_nonce[key] = nonce + 1
+        nonce = self._next_nonce.get(sender, 0)
+        self._next_nonce[sender] = nonce + 1
         tx = Transaction(self._next_tx_id, sender, payload, now_us, nonce)
         self._next_tx_id += 1
         mempool.append(tx)
@@ -295,7 +286,7 @@ class Ledger:
         return [
             {
                 "height": block.height,
-                "proposer": block.proposer.hex,
+                "proposer": block.proposer.hex(),
                 "timestamp_s": format_micro(block.timestamp_us),
                 "finality_time_s": format_micro(block.finality_time_us),
                 "txs": [{"id": tx.id, "kind": type(tx.payload).__name__} for tx in block.txs],

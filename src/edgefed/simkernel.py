@@ -47,7 +47,6 @@ import os
 import random
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from operator import attrgetter
 
 from .agents import (
     ConsumerAgent,
@@ -466,16 +465,10 @@ class Participants:
     bootstrap: Address
 
 
-# Address order is byte order of `value`; sorting by it skips Address.__lt__.
-_ADDRESS_BYTES = attrgetter("value")
-
-
 def build_participants(cfg: ScenarioConfig) -> Participants:
     derive, seed = Address.derive, cfg.seed
-    consumers = sorted((derive("edgefed", seed, "consumer", i) for i in range(cfg.consumers)),
-                       key=_ADDRESS_BYTES)
-    providers = sorted((derive("edgefed", seed, "provider", j) for j in range(cfg.providers)),
-                       key=_ADDRESS_BYTES)
+    consumers = sorted(derive("edgefed", seed, "consumer", i) for i in range(cfg.consumers))
+    providers = sorted(derive("edgefed", seed, "provider", j) for j in range(cfg.providers))
     return Participants(tuple(consumers), tuple(providers), derive("edgefed", seed, "bootstrap"))
 
 
@@ -607,9 +600,7 @@ class _ChainRun:
                 provider for rank, provider in enumerate(self.providers)
                 if rngs.stream(f"abstain/run{run_index}/provider{rank}").random() >= abstain
             ]
-        # By address bytes, which hash without a Python-level call.
-        self._agent_by_address = {a.profile.address.value: a
-                                  for a in (*self.providers, *self.consumers)}
+        self._agent_by_address = {a.profile.address: a for a in (*self.providers, *self.consumers)}
         self._consumer_by_ann = {}
         # Each consumer's trace fields, filled in by _deliver. They are made
         # here, before the run allocates its transactions: made as each
@@ -670,7 +661,7 @@ class _ChainRun:
         final_us = block.finality_time_us
         consumer_by_ann, steps = self._consumer_by_ann, self._steps
         min_offers = self.genesis.min_offers
-        submitted = None  # sender bytes -> submit instant of its announcement in this block
+        submitted = None  # sender -> submit instant of its announcement in this block
         for event in events:
             kind = type(event)
             if kind is BidPlaced:  # most events: one per bid
@@ -682,18 +673,18 @@ class _ChainRun:
                     consumer.handle(event, final_us)
             elif kind is ServiceAnnounced:
                 # The event carries no sender; the contract recorded it.
-                sender = self.contract.federations[event.ann_id].announcement.consumer.value
+                sender = self.contract.federations[event.ann_id].announcement.consumer
                 consumer = consumer_by_ann[event.ann_id] = self._agent_by_address[sender]
                 if submitted is None:
-                    submitted = {tx.sender.value: tx.submit_time_us for tx in block.txs
+                    submitted = {tx.sender: tx.submit_time_us for tx in block.txs
                                  if type(tx.payload) is AnnounceService}
                 steps[consumer].update(ann_id=event.ann_id, announce_submitted_us=submitted[sender])
                 for provider in self._bidders:
                     provider.handle(event, final_us)
             elif kind is ProviderChosen:
-                steps[consumer_by_ann[event.ann_id]].update(winner=event.winner.hex,
+                steps[consumer_by_ann[event.ann_id]].update(winner=event.winner.hex(),
                                                             winner_finalized_us=final_us)
-                self._agent_by_address[event.winner.value].handle(event, final_us)
+                self._agent_by_address[event.winner].handle(event, final_us)
             elif kind is DeploymentConfirmed:  # its consumer closes once attached
                 consumer = consumer_by_ann[event.ann_id]
                 close_us = final_us + consumer.profile.attach_time_us

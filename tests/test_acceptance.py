@@ -220,7 +220,7 @@ def _contract_path_sample(grid) -> int:
         prices = {p: rng.choice(grid) for p in chosen}
         contract = FederationContract(
             ContractGenesis(
-                operators=tuple((a, a.hex[:8]) for a in [consumer] + list(chosen)),
+                operators=tuple((a, a.hex()[:8]) for a in [consumer] + list(chosen)),
                 balances=((consumer, to_micro(100.0)),),
                 min_offers=2,
             )

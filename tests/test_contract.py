@@ -444,7 +444,7 @@ PER_FEDERATION = [
     ENDPOINT,
     ServiceAnnouncement(ann_id=0, consumer=CONSUMER, requirements=REQS,
                         consumer_endpoint=ENDPOINT, announce_block=1),
-    FederationTrace(0, 0, P1.hex, 0, 5, 10, 10, 15, 15, True),
+    FederationTrace(0, 0, P1.hex(), 0, 5, 10, 10, 15, 15, True),
 ]
 
 

@@ -7,7 +7,10 @@ Each document is parsed by each package's own `parse_config`, so the two
 copies share only the JSON text.
 """
 
+import sys
+from contextlib import nullcontext
 from dataclasses import astuple
+from unittest import mock
 
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
@@ -33,6 +36,16 @@ DOCUMENTS = st.fixed_dictionaries({
     "seed": st.integers(0, 2**32),
     "runs": st.just(1),
 })
+
+
+def _reference_phase_by_value():
+    """The frozen reference writes its `Phase` (an IntEnum) into the state
+    digest as str() does: its value from Python 3.11 on, but its name before.
+    canonical writes the value on every Python, so before 3.11 the reference
+    is replayed with the str() that 3.11 gives."""
+    if sys.version_info >= (3, 11):
+        return nullcontext()
+    return mock.patch.object(ref_contract.Phase, "__str__", int.__repr__)
 
 
 def replayed_state_digests(con, result) -> list:
@@ -74,7 +87,8 @@ def test_drawn_run_matches_the_reference_and_keeps_its_invariants(tmp_path_facto
 
     digests = replayed_state_digests(contract, result)
     assert digests == replayed_state_digests(contract, result)
-    assert digests == replayed_state_digests(ref_contract, ref_result)
+    with _reference_phase_by_value():
+        assert digests == replayed_state_digests(ref_contract, ref_result)
     assert digests[-1] == result.contract.state_digest()
 
     assert outcome(PROGRAM, doc, run_index, tmp_path / "rerun.csv")[1] == observed

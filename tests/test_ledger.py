@@ -72,18 +72,34 @@ class TestAddress:
 
     def test_hex_rendering(self):
         a = Address(bytes(range(20)))
-        assert str(a) == a.value.hex()
-        assert len(a.hex) == 40
+        assert str(a) == a.hex() == bytes(range(20)).hex()
+        assert len(a.hex()) == 40
+
+    @given(st.binary(min_size=20, max_size=20), st.binary(min_size=20, max_size=20))
+    def test_an_address_hashes_compares_and_orders_as_its_bytes(self, x, y):
+        a, b = Address(x), Address(y)
+        assert bytes(a) == x and type(bytes(a)) is bytes
+        assert hash(a) == hash(x)
+        assert (a == b) == (x == y) and (a != b) == (x != y)
+        assert (a < b) == (x < y) and (a <= b) == (x <= y) and (a > b) == (x > y)
+        assert a == x and {a: 1}[x] == 1  # a key found by its bytes
 
     @pytest.mark.parametrize("record", [
         Address(bytes(20)),
         Transaction(id=0, sender=Address(bytes(20)), payload=Ping(), submit_time_us=0, nonce=0),
     ], ids=["Address", "Transaction"])
     def test_fields_are_frozen_and_there_is_no_instance_dict(self, record):
-        # One of each per transaction: one slotted allocation, immutable.
-        for f in dataclasses.fields(record):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(record, f.name, getattr(record, f.name))
+        # One of each per transaction: one allocation, immutable. An Address
+        # is a bytes subclass, immutable as its bytes are, with no slot of
+        # its own to set.
+        if isinstance(record, Address):
+            assert isinstance(record, bytes) and type(record).__slots__ == ()
+            with pytest.raises(AttributeError):
+                record.value = bytes(20)
+        else:
+            for f in dataclasses.fields(record):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, f.name, getattr(record, f.name))
         assert not hasattr(record, "__dict__")
 
 
@@ -224,7 +240,7 @@ class TestBlockOrder:
         block = ledger.produce_block(PERIOD_US)
         ready = [tx for tx in submitted if tx.submit_time_us < PERIOD_US]
         assert list(block.txs) == sorted(ready, key=lambda tx: (tx.submit_time_us,
-                                                                tx.sender.value))
+                                                                tx.sender))
         assert ledger.mempool is mempool
         assert ledger.mempool == [tx for tx in submitted if tx.submit_time_us >= PERIOD_US]
 
@@ -252,7 +268,7 @@ class TestBlockOrder:
             ready = [tx for tx in pending if tx.submit_time_us < now]
             pending = [tx for tx in pending if tx.submit_time_us >= now]
             assert list(block.txs) == sorted(ready, key=lambda tx: (tx.submit_time_us,
-                                                                    tx.sender.value))
+                                                                    tx.sender))
             assert ledger.mempool is mempool and mempool == pending
             assert (block.height, block.timestamp_us, block.proposer, block.finality_time_us) \
                 == (height, now, validators[height % len(validators)], now + delay)

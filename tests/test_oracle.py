@@ -87,7 +87,7 @@ def test_a_long_wait_in_empty_blocks_matches_the_frozen_reference():
                         for sim in (simkernel, ref_simkernel))
     assert len(chain) == len(ref_chain) == 10_006
     assert sum(not block.txs for block in chain) == 10_001
-    assert [(block.timestamp_us, block.proposer.value, block.finality_time_us)
+    assert [(block.timestamp_us, bytes(block.proposer), block.finality_time_us)
             for block in chain] == [(block.timestamp_us, block.proposer.value,
                                      block.finality_time_us) for block in ref_chain]
     assert chain[-1].parent_digest == ref_chain[-1].parent_digest

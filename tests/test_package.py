@@ -59,7 +59,7 @@ GENERATED_REPR = {
 
 # Compared by value. The rest compare (and, when frozen, hash) by identity.
 VALUE_EQ = {
-    "Address", "AgentParams", "AggregateStats", "AnnounceService", "BidPlaced", "Block",
+    "AgentParams", "AggregateStats", "AnnounceService", "BidPlaced", "Block",
     "ChooseProvider", "CloseFederation", "ConfirmDeployment", "ConsensusConfig",
     "ConsumerProfile", "ContractGenesis", "DeploymentConfirmed", "DeploymentModel",
     "FederationClosed", "FederationTrace", "OverlayEndpoint", "PhaseBreakdown", "PlaceBid",
@@ -71,7 +71,7 @@ VALUE_EQ = {
 
 def test_the_record_classes_are_all_found():
     # A new record without a generated repr or value equality shows only here.
-    assert len(DATACLASSES) == 36
+    assert len(DATACLASSES) == 35
 
 
 def test_every_record_class_has_its_own_docstring():
@@ -119,7 +119,7 @@ REPLACEABLE = [
     DeploymentConfirmed(0, _ENDPOINT),
     FederationClosed(0),
     Transaction(3, _PROVIDER, PlaceBid(0, 150_000), 5_000_000, 1),
-    FederationTrace(0, 3, _PROVIDER.hex, 0, 5_000_000, 10_000_000, 15_100_000, 20_000_000,
+    FederationTrace(0, 3, _PROVIDER.hex(), 0, 5_000_000, 10_000_000, 15_100_000, 20_000_000,
                     20_500_000, True),
 ]
 
