@@ -31,10 +31,11 @@ from .contract import (
     PlaceBid,
     ProviderChosen,
     ServiceAnnounced,
+    select_winner,
 )
 from .ledger import Address
 from .metrics import FederationTrace
-from .units import ConfigInvalid, check_non_negative, to_micro
+from .units import ConfigInvalid, check_field_types, check_non_negative, to_micro
 
 
 class ProviderUnavailable(Exception):
@@ -49,6 +50,7 @@ class DeploymentModel:
     confirm_overhead_us: int = to_micro(0.1)
 
     def __post_init__(self):
+        check_field_types(self)
         check_non_negative("agents.deployment", container_start_s=self.container_start_us,
                            vxlan_setup_s=self.vxlan_setup_us,
                            confirm_overhead_s=self.confirm_overhead_us)
@@ -62,10 +64,11 @@ class DeploymentModel:
 class PricingContext:
     """The time-of-day factor and jitter every provider prices its bids with."""
     hour_of_day: int
-    time_factor_curve: tuple
+    time_factor_curve: tuple[float, ...]
     jitter_fraction: float = 0.0
 
     def __post_init__(self):
+        check_field_types(self)
         if len(self.time_factor_curve) != 24:
             raise ConfigInvalid("agents.time_factor_curve needs one multiplier per hour")
         if any(f <= 0 for f in self.time_factor_curve):
@@ -216,13 +219,14 @@ def soa_federate(consumer: ConsumerProfile, providers, rtt_us: int, prices, run:
     `ann_id`, the consumer's index, since no announcement is made.
 
     `prices` holds one `pricer` per provider, in the order of `providers`;
-    each is called once per federation, in that order.
+    each is called once per federation, in that order, and `select_winner`
+    picks the winner.
     """
     if not providers:
         raise ProviderUnavailable("no registered providers to query")
-    priced = [(price(), p.address, p)
-              for p, price in zip(providers, prices, strict=True)]
-    price, _, winner = min(priced, key=lambda entry: (entry[0], entry[1]))
+    offers = {p.address: (price(),) for p, price in zip(providers, prices, strict=True)}
+    address = select_winner(offers)
+    winner = next(p for p in providers if p.address == address)
     query_done = rtt_us
     request_done = query_done + rtt_us
     deploy_done = request_done + winner.deploy_model.service_time_us

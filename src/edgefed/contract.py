@@ -14,11 +14,10 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from enum import IntEnum
-from operator import attrgetter
 
 from . import canonical
 from .ledger import Address, Block, StampedEvent
-from .units import ConfigInvalid, format_micro, ms_to_micro, to_micro
+from .units import ConfigInvalid, check_field_types, format_micro, ms_to_micro, to_micro
 
 
 class ContractError(Exception):
@@ -210,7 +209,9 @@ class ServiceAnnouncement:
 
 @dataclass(slots=True, eq=False, repr=False)
 class Bid:
-    """One provider's standing bid, with the block and auction position it came in."""
+    """A standing bid as `state_digest` writes it. The contract stores each
+    bid under its provider as its key, `(price_micro, bid_block,
+    order_index)`, and builds this record only for the digest."""
     ann_id: int
     provider: Address
     price_micro: int
@@ -218,13 +219,11 @@ class Bid:
     order_index: int
 
 
-# Total order for winner selection: lowest price, then earliest block, then
-# earliest auction position, then lowest address.
-bid_priority = attrgetter("price_micro", "bid_block", "order_index", "provider")
-
-
-def select_winner(bids) -> Bid:
-    return min(bids, key=bid_priority)
+def select_winner(bids: dict) -> Address:
+    """The auction rule: the provider with the lowest key in `bids` (provider
+    -> key tuple), then the lowest address. A chain bid's key is (price,
+    block, auction position) and an SOA offer's is (price,)."""
+    return min(zip(bids.values(), bids))[1]
 
 
 @dataclass(eq=False, repr=False)
@@ -232,7 +231,7 @@ class FederationRecord:
     """The contract's state of one announcement: its phase, bids, winner and escrow."""
     announcement: ServiceAnnouncement
     phase: Phase
-    bids: dict = field(default_factory=dict)  # provider -> Bid
+    bids: dict = field(default_factory=dict)  # provider -> (price_micro, bid_block, order_index)
     bid_seq: int = 0
     winner: Address | None = None
     provider_endpoint: OverlayEndpoint | None = None
@@ -254,6 +253,7 @@ class ContractGenesis:
     min_offers: int = 2
 
     def __post_init__(self):
+        check_field_types(self)
         if self.min_offers < 1:
             # ChooseProvider would pick the lowest of no bids.
             raise ConfigInvalid(f"min_offers must be at least 1, got {self.min_offers}")
@@ -336,7 +336,7 @@ class FederationContract:
             raise WrongPhase(f"bidding is over for announcement {ann_id}")
         # Re-bids overwrite the price and move to the latest auction position.
         bids = record.bids
-        bids[sender] = Bid(ann_id, sender, call.price_micro, height, record.bid_seq)
+        bids[sender] = (call.price_micro, height, record.bid_seq)
         record.bid_seq += 1
         return BidPlaced(ann_id, len(bids))
 
@@ -350,14 +350,10 @@ class FederationContract:
             raise NotEnoughBids(
                 f"{len(record.bids)} bids, need at least {self.min_offers}"
             )
-        winning = select_winner(record.bids.values())
-        record.winner = winning.provider
+        winner = select_winner(record.bids)
+        record.winner = winner
         record.phase = Phase.PROVIDER_CHOSEN
-        return ProviderChosen(
-            ann_id=call.ann_id,
-            winner=winning.provider,
-            consumer_endpoint=record.announcement.consumer_endpoint,
-        )
+        return ProviderChosen(call.ann_id, winner, record.announcement.consumer_endpoint)
 
     def _confirm(self, sender, call: ConfirmDeployment, height):
         record = self._record(call.ann_id)
@@ -398,14 +394,14 @@ class FederationContract:
         return record
 
     def state_digest(self) -> str:
-        return canonical.digest(
-            {
-                "operators": self.operators,
-                "balances": self.balances,
-                "federations": self.federations,
-                "next_ann_id": self.next_ann_id,
-            }
-        )
+        # Each standing bid is written as the `Bid` record its key stands for.
+        federations = {
+            ann_id: dataclasses.replace(record, bids={
+                provider: Bid(ann_id, provider, *key) for provider, key in record.bids.items()})
+            for ann_id, record in self.federations.items()
+        }
+        return canonical.digest({"operators": self.operators, "balances": self.balances,
+                                 "federations": federations, "next_ann_id": self.next_ann_id})
 
     def total_funds_micro(self) -> int:
         """Balances plus escrow; constant after genesis funding."""

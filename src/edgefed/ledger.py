@@ -37,7 +37,7 @@ from enum import Enum
 from operator import attrgetter
 
 from . import canonical
-from .units import ConfigInvalid, check_non_negative, format_micro, to_micro
+from .units import ConfigInvalid, check_field_types, check_non_negative, format_micro, to_micro
 
 
 class LedgerError(Exception):
@@ -94,6 +94,7 @@ class ConsensusConfig:
     validators: tuple = ()
 
     def __post_init__(self):
+        check_field_types(self)
         check_timing(self.block_period_us, self.message_delay_us, self.validation_cost_us)
         if len(self.validators) < 1:
             raise ConfigInvalid("at least one validator is required")

@@ -73,7 +73,7 @@ from .contract import (
 )
 from .ledger import Address, Algorithm, ConsensusConfig, Ledger, StampedEvent, check_timing
 from .metrics import FederationTrace
-from .units import ConfigInvalid, check_non_negative, ms_to_micro, to_micro
+from .units import ConfigInvalid, check_field_types, check_non_negative, ms_to_micro, to_micro
 
 
 class SchedulingInPast(Exception):
@@ -198,7 +198,7 @@ class AgentParams:
     attach_time_us: int = to_micro(0.5)
     reaction_delay_us: int = to_micro(0.1)
     rtt_us: int = to_micro(0.05)
-    tariffs_micro: tuple = tuple(to_micro(t) for t in DEFAULT_TARIFFS)
+    tariffs_micro: tuple[int, ...] = tuple(to_micro(t) for t in DEFAULT_TARIFFS)
     pricing: PricingContext = PricingContext(
         hour_of_day=12, time_factor_curve=DEFAULT_TIME_FACTOR_CURVE, jitter_fraction=0.05
     )
@@ -208,6 +208,8 @@ class AgentParams:
     genesis_balance_micro: int = to_micro(100.0)
 
     def __post_init__(self):
+        check_field_types(self)
+        check_field_types(self.sla)
         check_non_negative("agents", attach_time_s=self.attach_time_us,
                            reaction_delay_s=self.reaction_delay_us, rtt_s=self.rtt_us)
         if not self.tariffs_micro:
@@ -259,11 +261,12 @@ class ScenarioConfig:
     seed: int = 1
     concurrency_mode: str = MODE_ALL
     timeout_us: int = to_micro(300.0)
-    sweep_n: tuple = (2, 10, 15, 25, 30)
+    sweep_n: tuple[int, ...] = (2, 10, 15, 25, 30)
     sweep_variants: tuple = VARIANTS
     output_dir: str | None = None
 
     def __post_init__(self):
+        check_field_types(self)
         if (not isinstance(self.scenario_id, str) or self.scenario_id in ("", ".", "..")
                 or any(c in self.scenario_id for c in "/\\\0")):
             # It starts every output file name, so it must not leave the output directory.

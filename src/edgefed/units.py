@@ -5,6 +5,8 @@ Simulated time and currency are both stored as integers in millionths
 and makes digests and exported files stable across platforms.
 """
 
+import dataclasses
+import functools
 import re
 
 MICRO = 1_000_000
@@ -14,6 +16,40 @@ _DECIMAL = r"([+-]?)([0-9]+)(?:\.([0-9]{1,6}))?"  # compiled on first use, by re
 
 class ConfigInvalid(ValueError):
     """A scenario value that cannot be read or is out of range, named by its key."""
+
+
+_KINDS = {int: (int, "an int"), float: ((int, float), "a number")}
+
+
+@functools.cache
+def _checks(cls) -> tuple:
+    """(field name, accepted types, their name, whether a tuple of them) for
+    each field of the dataclass `cls` that `check_field_types` checks."""
+    checks = []
+    for f in dataclasses.fields(cls):
+        kind, many = f.type, getattr(f.type, "__origin__", None) is tuple
+        if many:
+            kind = kind.__args__[0]
+        if kind in _KINDS:
+            checks.append((f.name, *_KINDS[kind], many))
+    return tuple(checks)
+
+
+def check_field_types(record) -> None:
+    """Refuse the first field of the dataclass `record` whose value is not of
+    its declared kind, named as the record's type and field. An `int` field
+    takes an int and a `float` field an int or float, never a bool, as in a
+    document; a `tuple[int, ...]` or `tuple[float, ...]` field takes a tuple
+    or list of them. Other fields are left to the record's own rules."""
+    for name, accepted, what, many in _checks(type(record)):
+        value = getattr(record, name)
+        where = f"{type(record).__name__}.{name}"
+        if many and not isinstance(value, (tuple, list)):
+            raise ConfigInvalid(f"{where} must be a tuple, got {value!r}")
+        for i, item in enumerate(value if many else (value,)):
+            if isinstance(item, bool) or not isinstance(item, accepted):
+                item_where = f"{where}[{i}]" if many else where
+                raise ConfigInvalid(f"{item_where} must be {what}, got {item!r}")
 
 
 def check_non_negative(section: str, **values) -> None:

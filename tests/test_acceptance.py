@@ -13,7 +13,7 @@ import pytest
 
 from edgefed import FederationContract, aggregate, run_once, run_scenario
 from edgefed.cli import EXIT_OK, main
-from edgefed.contract import Bid, select_winner
+from edgefed.contract import select_winner
 from edgefed.simkernel import generate_topology
 from edgefed.units import to_micro
 
@@ -153,22 +153,25 @@ def test_criterion_5_replicas_agree_at_every_height():
 
 
 def arrival_oracle_winner(bids):
-    """Brute-force pairwise scan applying the documented total order."""
+    """Brute-force pairwise scan applying the documented total order to a
+    provider -> (price, block, auction position) map; the winning provider."""
     best = None
-    for bid in bids:
+    for provider, (price, block, position) in bids.items():
         if best is None:
-            best = bid
-        elif bid.price_micro < best.price_micro:
-            best = bid
-        elif bid.price_micro == best.price_micro:
-            if bid.bid_block < best.bid_block:
-                best = bid
-            elif bid.bid_block == best.bid_block:
-                if bid.order_index < best.order_index:
-                    best = bid
-                elif bid.order_index == best.order_index and bid.provider < best.provider:
-                    best = bid
-    return best
+            best = provider, price, block, position
+            continue
+        _, best_price, best_block, best_position = best
+        if price < best_price:
+            best = provider, price, block, position
+        elif price == best_price:
+            if block < best_block:
+                best = provider, price, block, position
+            elif block == best_block:
+                if position < best_position:
+                    best = provider, price, block, position
+                elif position == best_position and provider < best[0]:
+                    best = provider, price, block, position
+    return best[0]
 
 
 def test_criterion_6_exhaustive_auction_equivalence():
@@ -177,14 +180,11 @@ def test_criterion_6_exhaustive_auction_equivalence():
     for n in range(1, 7):
         for perm in permutations(range(n)):
             # Arrival position k belongs to provider perm[k].
-            bids = [
-                Bid(ann_id=0, provider=perm[k], price_micro=0, bid_block=0, order_index=k)
-                for k in range(n)
-            ]
+            bids = dict.fromkeys(perm)
             for prices in product(grid, repeat=n):
-                for k in range(n):
-                    bids[k].price_micro = prices[bids[k].provider]
-                assert select_winner(bids) is arrival_oracle_winner(bids)
+                for k, provider in enumerate(perm):
+                    bids[provider] = (prices[provider], 0, k)
+                assert select_winner(bids) == arrival_oracle_winner(bids)
                 cases += 1
     # The same order must hold through the full contract path.
     contract_cases = _contract_path_sample(grid)
@@ -238,8 +238,7 @@ def _contract_path_sample(grid) -> int:
         for provider in arrival:
             contract.apply(provider, PlaceBid(ann_id=0, price_micro=prices[provider]), 2)
         event = contract.apply(consumer, ChooseProvider(ann_id=0), 3)
-        expected = arrival_oracle_winner(list(contract.federations[0].bids.values()))
-        assert event.winner == expected.provider
+        assert event.winner == arrival_oracle_winner(contract.federations[0].bids)
         cases += 1
     return cases
 

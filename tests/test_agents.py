@@ -22,7 +22,9 @@ from edgefed.contract import (
     ChooseProvider,
     CloseFederation,
     ConfirmDeployment,
+    ContractGenesis,
     DeploymentConfirmed,
+    FederationContract,
     OverlayEndpoint,
     PlaceBid,
     ProviderChosen,
@@ -30,11 +32,12 @@ from edgefed.contract import (
     ServiceRequirements,
     SlaTerms,
 )
+from edgefed.ledger import Ledger
 from edgefed.metrics import decompose
 from edgefed.simkernel import _ChainRun, build_cell, run_once
 from edgefed.units import to_micro
 
-from conftest import addr, scenario
+from conftest import addr, clique_config, scenario
 
 FLAT_CURVE = tuple([1.0] * 24)
 REQS = ServiceRequirements(app_id="app", replicas=1, bandwidth_mbps=100)
@@ -366,6 +369,26 @@ class TestSoaBaseline:
         chain_trace = run_once(cfg, 0).traces[0]
         soa_trace = run_once(replace(cfg, variant="soa"), 0).traces[0]
         assert chain_trace.winner == soa_trace.winner
+
+    def test_a_price_tie_goes_to_the_lower_address_as_on_the_chain(self):
+        low, high = sorted([provider("tie-a"), provider("tie-b")], key=lambda p: p.address)
+        trace = soa_federate(consumer(), [high, low], rtt_us=to_micro(0.05),
+                             prices=[lambda: to_micro(0.10)] * 2, run=0, ann_id=0)
+        assert trace.winner == low.address.hex()
+        # The same two offers as bids of one instant: the block orders them
+        # by sender, and the contract's ChooseProvider picks the same provider.
+        c = consumer()
+        ledger = Ledger(clique_config([addr("v0")]))
+        contract = FederationContract(ContractGenesis(
+            operators=tuple((a, a.hex()[:8]) for a in (c.address, low.address, high.address)),
+            balances=((c.address, to_micro(100.0)),)))
+        contract.apply(c.address, c.announcement, 0)
+        for bidder in (high, low):
+            ledger.submit(bidder.address, PlaceBid(0, to_micro(0.10)), to_micro(1.0))
+        ledger.submit(c.address, ChooseProvider(0), to_micro(6.0))
+        contract.execute_block(ledger.produce_block(to_micro(5.0)))
+        [chosen] = contract.execute_block(ledger.produce_block(to_micro(10.0)))
+        assert contract.rejected == [] and chosen.winner == low.address
 
     def test_totals_do_not_grow_with_concurrent_consumers(self):
         small = run_once(scenario(n=10, variant="soa", runs=1), 0)

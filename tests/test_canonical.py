@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgefed import canonical
-from edgefed.contract import FederationContract, OverlayEndpoint, PlaceBid, ServiceAnnouncement
+from edgefed.contract import Bid, FederationContract, OverlayEndpoint, PlaceBid, ServiceAnnouncement
 from edgefed.ledger import Address, Block, Transaction, block_digest
 from edgefed.metrics import FederationTrace
 from edgefed.simkernel import run_once
@@ -172,6 +172,20 @@ def test_block_and_state_digests_are_pinned(variant):
     assert digests[-1] == last
     assert hashlib.sha256("".join(digests).encode()).hexdigest() == chain
     assert result.contract.state_digest() == STATE_DIGEST_N30
+
+
+def test_a_run_builds_no_bid_record_and_its_digest_writes_each_bid_as_one(monkeypatch):
+    built, init = [0], Bid.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Bid, "__init__", counting)
+    contract = run_once(scenario(n=30, seed=7), 0).contract
+    assert built == [0]
+    assert contract.state_digest() == STATE_DIGEST_N30
+    assert built == [sum(len(record.bids) for record in contract.federations.values())] == [144]
 
 
 def _record_class(built_through_slots: bool):

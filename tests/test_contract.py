@@ -33,7 +33,6 @@ from edgefed.contract import (
     ServiceRequirements,
     SlaTerms,
     WrongPhase,
-    bid_priority,
     select_winner,
     write_event_log,
 )
@@ -158,10 +157,7 @@ class TestBidding:
         contract.apply(P2, PlaceBid(ann_id=ann, price_micro=to_micro(0.2)), 2)
         event = contract.apply(P1, PlaceBid(ann_id=ann, price_micro=to_micro(0.120)), 3)
         assert event.bid_count == 2
-        bid = contract.federations[ann].bids[P1]
-        assert bid.price_micro == to_micro(0.120)
-        assert bid.order_index == 2
-        assert bid.bid_block == 3
+        assert contract.federations[ann].bids[P1] == (to_micro(0.120), 3, 2)
 
     def test_bid_after_selection_rejected(self):
         contract = fresh_contract()
@@ -321,41 +317,42 @@ class TestConservation:
 
 
 def oracle_winner(bids):
-    """Independent pairwise scan applying the documented total order."""
+    """Independent pairwise scan applying the documented total order to a
+    provider -> (price, block, auction position) map; the winning provider."""
     best = None
-    for bid in bids:
+    for provider, (price, block, position) in bids.items():
         if best is None:
-            best = bid
+            best = provider, price, block, position
             continue
-        if bid.price_micro < best.price_micro:
-            best = bid
-        elif bid.price_micro == best.price_micro:
-            if bid.bid_block < best.bid_block:
-                best = bid
-            elif bid.bid_block == best.bid_block:
-                if bid.order_index < best.order_index:
-                    best = bid
-                elif bid.order_index == best.order_index and bid.provider < best.provider:
-                    best = bid
-    return best
+        _, best_price, best_block, best_position = best
+        if price < best_price:
+            best = provider, price, block, position
+        elif price == best_price:
+            if block < best_block:
+                best = provider, price, block, position
+            elif block == best_block:
+                if position < best_position:
+                    best = provider, price, block, position
+                elif position == best_position and provider < best[0]:
+                    best = provider, price, block, position
+    return best[0]
 
 
 class TestAuctionOrder:
     def test_selector_matches_oracle_with_ties_across_blocks(self):
         providers = [addr(f"p{i}") for i in range(4)]
-        bids = [
-            Bid(ann_id=0, provider=providers[0], price_micro=15, bid_block=4, order_index=3),
-            Bid(ann_id=0, provider=providers[1], price_micro=15, bid_block=3, order_index=1),
-            Bid(ann_id=0, provider=providers[2], price_micro=15, bid_block=3, order_index=0),
-            Bid(ann_id=0, provider=providers[3], price_micro=20, bid_block=2, order_index=2),
-        ]
-        assert select_winner(bids) is oracle_winner(bids)
-        assert select_winner(bids).provider == providers[2]
+        bids = {
+            providers[0]: (15, 4, 3),
+            providers[1]: (15, 3, 1),
+            providers[2]: (15, 3, 0),
+            providers[3]: (20, 2, 2),
+        }
+        assert select_winner(bids) == oracle_winner(bids) == providers[2]
 
     def test_priority_orders_price_before_everything(self):
-        cheap = Bid(ann_id=0, provider=addr("z"), price_micro=1, bid_block=9, order_index=9)
-        pricey = Bid(ann_id=0, provider=addr("a"), price_micro=2, bid_block=0, order_index=0)
-        assert bid_priority(cheap) < bid_priority(pricey)
+        cheap, pricey = addr("z"), addr("a")
+        assert pricey < cheap
+        assert select_winner({cheap: (1, 9, 9), pricey: (2, 0, 0)}) == cheap
 
 
 # -- replicated execution ------------------------------------------------------

@@ -339,6 +339,22 @@ class TestMemory:
         assert txs == 1920
         assert held / txs < bound
 
+    def test_a_held_run_keeps_under_3_5_tracked_objects_per_transaction(self):
+        # The collector scans what it tracks, so a caller holding results
+        # pays per tracked object. A bid's stored key is a tuple of ints,
+        # which the collector stops tracking; its call, transaction and
+        # event stay tracked.
+        cfg = scenario(n=100)
+        cell = build_cell(cfg)
+        gc.collect()
+        before = len(gc.get_objects())
+        result = run_once(cfg, 0, cell)
+        gc.collect()
+        tracked = len(gc.get_objects()) - before
+        txs = sum(len(block.txs) for block in result.blocks)
+        assert txs == 1920
+        assert tracked / txs < 3.5
+
 
 def _empty_chain(blocks: int) -> list:
     ledger = make_ledger()

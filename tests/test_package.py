@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +31,16 @@ def test_star_import_resolves_every_public_name():
     exec("from edgefed import *", namespace)
     missing = [name for name in edgefed.__all__ if name not in namespace]
     assert missing == []
+
+
+def test_the_readme_library_use_block_runs_as_written(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use\n\n```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert len(namespace["results"]) == 20
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["chain.json", "events.jsonl"]
 
 
 # -- what each record class is built with ---------------------------------------

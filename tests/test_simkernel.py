@@ -694,3 +694,44 @@ def test_each_config_record_refuses_a_bad_value_with_one_exception_type(build, r
     with pytest.raises(ValueError, match=re.escape(reason)) as caught:
         build()
     assert isinstance(caught.value, ConfigInvalid)
+
+
+@pytest.mark.parametrize("build, reason", [
+    (lambda: ScenarioConfig(runs="3"), "ScenarioConfig.runs must be an int, got '3'"),
+    (lambda: ContractGenesis(min_offers="2"), "ContractGenesis.min_offers must be an int, got '2'"),
+    (lambda: DeploymentModel(container_start_us="1"),
+     "DeploymentModel.container_start_us must be an int, got '1'"),
+    (lambda: ScenarioConfig(n_systems=2.0, consumers=1, providers=1.0),
+     "ScenarioConfig.n_systems must be an int, got 2.0"),
+    (lambda: ScenarioConfig(block_period_us=5e6),
+     "ScenarioConfig.block_period_us must be an int, got 5000000.0"),
+    (lambda: AgentParams(deposit_micro=1e7), "AgentParams.deposit_micro must be an int, got 10000000.0"),
+    (lambda: ScenarioConfig(seed=1.5), "ScenarioConfig.seed must be an int, got 1.5"),
+    (lambda: ScenarioConfig(runs=True), "ScenarioConfig.runs must be an int, got True"),
+    (lambda: ScenarioConfig(sweep_n=(2, 10.0)), "ScenarioConfig.sweep_n[1] must be an int, got 10.0"),
+    (lambda: ScenarioConfig(sweep_n=10), "ScenarioConfig.sweep_n must be a tuple, got 10"),
+    (lambda: AgentParams(tariffs_micro=(100_000, "1")),
+     "AgentParams.tariffs_micro[1] must be an int, got '1'"),
+    (lambda: AgentParams(sla=replace(AgentParams.sla, penalty_micro=2e6)),
+     "SlaTerms.penalty_micro must be an int, got 2000000.0"),
+    (lambda: AgentParams(abstain_probability="0"),
+     "AgentParams.abstain_probability must be a number, got '0'"),
+    (lambda: PricingContext(hour_of_day=12.0, time_factor_curve=(1.0,) * 24),
+     "PricingContext.hour_of_day must be an int, got 12.0"),
+    (lambda: PricingContext(hour_of_day=12, time_factor_curve=(1.0,) * 23 + (None,)),
+     "PricingContext.time_factor_curve[23] must be a number, got None"),
+    (lambda: PricingContext(hour_of_day=12, time_factor_curve=(1.0,) * 24, jitter_fraction=False),
+     "PricingContext.jitter_fraction must be a number, got False"),
+    (lambda: ConsensusConfig(Algorithm.CLIQUE, 5e6, validators=_FOUR_VALIDATORS),
+     "ConsensusConfig.block_period_us must be an int, got 5000000.0"),
+], ids=["scenario_runs_str", "genesis_min_offers_str", "deployment_container_start_str",
+        "scenario_float_split", "scenario_block_period_float", "agent_deposit_float",
+        "scenario_seed_float", "scenario_runs_bool", "scenario_sweep_size_float",
+        "scenario_sweep_not_a_tuple", "agent_tariff_str", "sla_penalty_float",
+        "agent_abstain_str", "pricing_hour_float", "pricing_curve_none", "pricing_jitter_bool",
+        "consensus_block_period_float"])
+def test_a_record_built_with_a_wrong_type_is_refused_naming_its_field(build, reason):
+    """A value of the wrong type is refused as a bad value is, not left to
+    raise TypeError later in a run or a digest."""
+    with pytest.raises(ConfigInvalid, match=f"^{re.escape(reason)}$"):
+        build()
