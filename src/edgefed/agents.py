@@ -20,6 +20,7 @@ schedules `announce(now_us)`, which submits it at once.
 from dataclasses import dataclass
 from functools import partial
 
+from . import canonical
 from .contract import (
     AnnounceService,
     BidPlaced,
@@ -42,8 +43,8 @@ class ProviderUnavailable(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class DeploymentModel:
+@canonical.record
+class DeploymentModel(canonical.Record):
     """A provider's deployment durations: container start, VXLAN setup and confirmation."""
     container_start_us: int = to_micro(1.5)
     vxlan_setup_us: int = to_micro(0.5)
@@ -60,8 +61,8 @@ class DeploymentModel:
         return self.container_start_us + self.vxlan_setup_us
 
 
-@dataclass(frozen=True)
-class PricingContext:
+@canonical.record
+class PricingContext(canonical.Record):
     """The time-of-day factor and jitter every provider prices its bids with."""
     hour_of_day: int
     time_factor_curve: tuple[float, ...]
@@ -79,16 +80,16 @@ class PricingContext:
             raise ConfigInvalid("agents.hour_of_day must be in 0..23")
 
 
-@dataclass(frozen=True, repr=False)
-class ProviderProfile:
+@canonical.record(repr=False)
+class ProviderProfile(canonical.Record):
     """One provider's address, base tariff and deployment model."""
     address: Address
     base_tariff_micro: int
     deploy_model: DeploymentModel
 
 
-@dataclass(frozen=True, repr=False)
-class ConsumerProfile:
+@canonical.record(repr=False)
+class ConsumerProfile(canonical.Record):
     """One consumer's address, the announcement it makes and its overlay attach time."""
     address: Address
     announcement: AnnounceService

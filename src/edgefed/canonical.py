@@ -17,8 +17,14 @@ encodings twice while it is written. A record's header and field names are
 kept per dataclass type from its first write; nothing else outlives a
 digest.
 
-`slot_init` gives the per-transaction records a generated constructor: it
-fills each slot directly instead of calling `object.__setattr__` per field.
+The frozen records of the package derive from `Record` and are declared
+through `record`, which keeps them dataclasses (`fields`, `replace`) but
+compiles nothing for them but a constructor. Their equality, hashing,
+refusal of assignment, pickling and repr are written once here and read a
+record's fields through one `attrgetter` per class, where `dataclass` would
+compile each for each class when the package is imported. A slotted
+record's constructor fills each slot directly instead of calling
+`object.__setattr__` per field.
 """
 
 import dataclasses
@@ -26,6 +32,8 @@ import hashlib
 import struct
 import types
 from enum import Enum
+from operator import attrgetter
+from reprlib import recursive_repr
 
 _head = struct.Struct(">cI").pack  # tag byte, then the body length, big-endian
 _patch_length = struct.Struct(">I").pack_into  # (buffer, offset, length)
@@ -132,47 +140,111 @@ def _write_sorted(members, out) -> None:
         out += member
 
 
-def _compile(cls, name: str, params: str, body: list, namespace: dict):
-    """Compile one generated function `name(params)` in a file named after
-    `cls`, so profiles and tracebacks tell the generated functions apart."""
-    source = "\n".join([f"def {name}({params}):", *body])
-    exec(compile(source, f"<canonical {cls.__module__}.{cls.__qualname__}>", "exec"), namespace)
-    return namespace[name]
+class Record:
+    """Base of a frozen record: it equals a record of its own type with equal
+    fields and hashes as its field tuple, as a frozen dataclass does, and
+    refuses assignment and deletion with `FrozenInstanceError`. A copy or an
+    unpickled record is rebuilt field by field, not through the constructor.
+    Declare a subclass through `record`."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            values = self._field_values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._field_values(self))
+
+    def __setattr__(self, name, value):
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _rebuilt, (type(self), self._field_values(self))
 
 
-def slot_init(cls):
-    """Class decorator for a frozen slotted dataclass: its `__init__` becomes
-    generated code that stores each argument through its field's slot (the
-    member descriptor's `__set__`), in field order, with the same positional
-    or keyword parameters. The dataclass's own `__init__` goes through
-    `object.__setattr__` once per field, since the class's `__setattr__`
-    raises, which costs several times as much. Declare the dataclass with
-    `init=False`: its own `__init__` would be compiled only to be replaced.
-    Only the constructor changes: assignment still raises
-    `FrozenInstanceError`, and equality, hashing, `fields()` and `replace()`
-    are the dataclass's; `repr` is whatever the class's dataclass options
-    give. A default or a `__post_init__` needs the dataclass's `__init__`, so
-    such a class is refused, as is one that is not a frozen dataclass with
-    slots."""
-    if not (dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen):
-        raise TypeError(f"slot_init needs a frozen dataclass, not {cls.__qualname__}")
+def _rebuilt(cls, values):
+    """The `cls` record holding `values`, filled as its constructor would be
+    but without `__post_init__`: a copy or unpickled record."""
+    built = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, values):  # the field names
+        object.__setattr__(built, name, value)
+    return built
+
+
+@recursive_repr()
+def _repr(self):
+    """A frozen dataclass's repr: `Name(field=value!r, ...)`."""
+    pairs = zip(self.__match_args__, self._field_values(self))
+    fields = ", ".join([f"{name}={value!r}" for name, value in pairs])
+    return f"{type(self).__qualname__}({fields})"
+
+
+def record(cls=None, /, *, slots=False, eq=True, repr=True):
+    """Class decorator for a subclass of `Record`: a dataclass for which
+    `dataclass` generates no method, and whose one compiled method is its
+    constructor. That takes each field positionally or by keyword, in field
+    order, with the field's default if it has one, stores it, then calls
+    `__post_init__` if the class has one. A slotted record (`slots`) stores
+    each field through its slot, the member descriptor's `__set__`; any
+    other through `object.__setattr__`, never by writing `__dict__`. A
+    constructor of the class's own is kept. `eq=False` leaves identity
+    equality and hashing; `repr=False` leaves `object`'s repr. Every field
+    is compared, hashed and printed, so a field option other than a plain
+    default is refused."""
+    def wrap(cls):
+        if not issubclass(cls, Record):
+            raise TypeError(f"record needs a subclass of canonical.Record, not {cls.__qualname__}")
+        cls = dataclasses.dataclass(cls, init=False, repr=False, eq=False, slots=slots)
+        fields = dataclasses.fields(cls)
+        for field in fields:
+            if not (field.init and field.repr and field.compare and field.hash is None
+                    and field.default_factory is dataclasses.MISSING):
+                raise TypeError(f"{cls.__qualname__}.{field.name} has a field option")
+        get = attrgetter(*cls.__match_args__)
+        cls._field_values = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+        if repr:
+            cls.__repr__ = _repr
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _constructor(cls, fields)
+        return cls
+
+    return wrap if cls is None else wrap(cls)
+
+
+def _constructor(cls, fields):
+    """The generated `__init__` of the record class `cls`, compiled in a file
+    named after the class, so profiles and tracebacks tell the constructors
+    apart."""
+    namespace = {"_setattr": object.__setattr__}
+    params, body = ["self"], []
+    for field in fields:
+        name = field.name
+        if field.default is dataclasses.MISSING:
+            params.append(name)
+        else:
+            namespace[f"_default_{name}"] = field.default
+            params.append(f"{name}=_default_{name}")
+        slot = getattr(cls, name, None)
+        if isinstance(slot, types.MemberDescriptorType):
+            namespace[f"_set_{name}"] = slot.__set__
+            body.append(f"    _set_{name}(self, {name})")
+        else:
+            body.append(f"    _setattr(self, {name!r}, {name})")
     if hasattr(cls, "__post_init__"):
-        raise TypeError(f"{cls.__qualname__} has a __post_init__, which slot_init would skip")
-    names, setters = [], {}
-    for field in dataclasses.fields(cls):
-        if (field.default is not dataclasses.MISSING
-                or field.default_factory is not dataclasses.MISSING):
-            raise TypeError(f"{cls.__qualname__}.{field.name} has a default")
-        slot = getattr(cls, field.name, None)
-        if not isinstance(slot, types.MemberDescriptorType):
-            raise TypeError(f"{cls.__qualname__}.{field.name} is not a slot")
-        names.append(field.name)
-        setters[f"_set_{field.name}"] = slot.__set__
-    body = [f"    _set_{name}(self, {name})" for name in names]
-    init = _compile(cls, "__init__", ", ".join(["self", *names]), body, setters)
+        body.append("    self.__post_init__()")
+    source = "\n".join([f"def __init__({', '.join(params)}):", *body])
+    exec(compile(source, f"<canonical {cls.__module__}.{cls.__qualname__}>", "exec"), namespace)
+    init = namespace["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__ = init
-    return cls
+    return init
 
 
 def _written(obj) -> bytearray:

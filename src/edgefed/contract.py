@@ -68,8 +68,8 @@ class Phase(IntEnum):
 _OPEN = Phase.OPEN
 
 
-@dataclass(frozen=True)
-class ServiceRequirements:
+@canonical.record
+class ServiceRequirements(canonical.Record):
     """Demand-side descriptor only; no provider infrastructure details."""
 
     app_id: str
@@ -77,17 +77,16 @@ class ServiceRequirements:
     bandwidth_mbps: int
 
 
-@canonical.slot_init
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class OverlayEndpoint:
+@canonical.record(slots=True, repr=False)
+class OverlayEndpoint(canonical.Record):
     """A VXLAN overlay endpoint: address, UDP port and network identifier."""
     ip: str
     udp_port: int
     vni: int
 
 
-@dataclass(frozen=True)
-class SlaTerms:
+@canonical.record
+class SlaTerms(canonical.Record):
     """The service level an announcement asks for and the penalty it escrows."""
     min_availability_micro: int  # fraction of 1.0 in millionths
     max_latency_us: int
@@ -105,12 +104,11 @@ class SlaTerms:
 # -- calls -------------------------------------------------------------------
 
 # Each transaction carries a call and yields an event, so both kinds of
-# record are slotted and built through their slots (`canonical.slot_init`).
+# record are slotted, built through their slots (`canonical.record`).
 
 
-@canonical.slot_init
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class AnnounceService:
+@canonical.record(slots=True, repr=False)
+class AnnounceService(canonical.Record):
     """Call: a consumer opens an auction, escrowing its deposit."""
     requirements: ServiceRequirements
     consumer_endpoint: OverlayEndpoint
@@ -118,32 +116,28 @@ class AnnounceService:
     deposit_micro: int
 
 
-@canonical.slot_init
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class PlaceBid:
+@canonical.record(slots=True, repr=False)
+class PlaceBid(canonical.Record):
     """Call: a provider bids a price on an open announcement."""
     ann_id: int
     price_micro: int
 
 
-@canonical.slot_init
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class ChooseProvider:
+@canonical.record(slots=True, repr=False)
+class ChooseProvider(canonical.Record):
     """Call: the consumer ends bidding; the contract picks the winner."""
     ann_id: int
 
 
-@canonical.slot_init
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class ConfirmDeployment:
+@canonical.record(slots=True, repr=False)
+class ConfirmDeployment(canonical.Record):
     """Call: the winner reports its service deployed at its overlay endpoint."""
     ann_id: int
     provider_endpoint: OverlayEndpoint
 
 
-@canonical.slot_init
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class CloseFederation:
+@canonical.record(slots=True, repr=False)
+class CloseFederation(canonical.Record):
     """Call: the consumer closes the federation once attached."""
     ann_id: int
 
@@ -151,26 +145,23 @@ class CloseFederation:
 # -- events ------------------------------------------------------------------
 
 
-@canonical.slot_init
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class ServiceAnnounced:
+@canonical.record(slots=True, repr=False)
+class ServiceAnnounced(canonical.Record):
     """Carries the announcement id and requirements only (data minimization)."""
 
     ann_id: int
     requirements: ServiceRequirements
 
 
-@canonical.slot_init
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class BidPlaced:
+@canonical.record(slots=True, repr=False)
+class BidPlaced(canonical.Record):
     """Carries the announcement id and how many bids it holds, not the price."""
     ann_id: int
     bid_count: int
 
 
-@canonical.slot_init
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class ProviderChosen:
+@canonical.record(slots=True, repr=False)
+class ProviderChosen(canonical.Record):
     """Releases the consumer endpoint to the winner at selection time."""
 
     ann_id: int
@@ -178,17 +169,15 @@ class ProviderChosen:
     consumer_endpoint: OverlayEndpoint
 
 
-@canonical.slot_init
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class DeploymentConfirmed:
+@canonical.record(slots=True, repr=False)
+class DeploymentConfirmed(canonical.Record):
     """Releases the provider endpoint to the consumer."""
     ann_id: int
     provider_endpoint: OverlayEndpoint
 
 
-@canonical.slot_init
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class FederationClosed:
+@canonical.record(slots=True, repr=False)
+class FederationClosed(canonical.Record):
     """Marks the federation closed by its consumer."""
     ann_id: int
 
@@ -196,9 +185,8 @@ class FederationClosed:
 # -- state -------------------------------------------------------------------
 
 
-@canonical.slot_init
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class ServiceAnnouncement:
+@canonical.record(slots=True, repr=False)
+class ServiceAnnouncement(canonical.Record):
     """An announcement as the contract stores it: who made it, what and in which block."""
     ann_id: int
     consumer: Address
@@ -239,8 +227,8 @@ class FederationRecord:
     sla: SlaTerms | None = None
 
 
-@dataclass(frozen=True)
-class ContractGenesis:
+@canonical.record
+class ContractGenesis(canonical.Record):
     """Shared starting point every replica is constructed from.
 
     Operators and balances installed here are the only registration and

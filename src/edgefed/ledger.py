@@ -8,8 +8,8 @@ deterministic given the sequence of submissions.
 An `Address` is a 20-byte `bytes` subclass with no instance `__dict__`, so
 the nonces, operators, bids and agents keyed by it hash and compare in C;
 `canonical` writes it as a record of one field, its bytes. A run makes one
-transaction per bid, so a `Transaction` is a slotted dataclass built through
-its slots (`canonical.slot_init`).
+transaction per bid, so a `Transaction` is a slotted record built through
+its slots (`canonical.record`).
 
 A block's `parent_digest` is computed when it is first read and then cached
 on the block; until then the block holds its parent `Block`. So a run hashes
@@ -32,7 +32,6 @@ import hashlib
 import json
 import warnings
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 
@@ -84,8 +83,8 @@ def check_timing(block_period_us: int, message_delay_us: int, validation_cost_us
                        validation_cost_s=validation_cost_us)
 
 
-@dataclass(frozen=True)
-class ConsensusConfig:
+@canonical.record
+class ConsensusConfig(canonical.Record):
     """The chain's algorithm, block period, message and validation delays and validators."""
     algorithm: Algorithm
     block_period_us: int
@@ -123,9 +122,8 @@ def finality_delay_us(cfg: ConsensusConfig) -> int:
     return 3 * cfg.message_delay_us + cfg.validation_cost_us * rounds
 
 
-@canonical.slot_init
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class Transaction:
+@canonical.record(slots=True, repr=False)
+class Transaction(canonical.Record):
     """A contract call as submitted: its sender, submit instant and nonce."""
     id: int
     sender: Address
@@ -134,8 +132,8 @@ class Transaction:
     nonce: int
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class Block:
+@canonical.record(repr=False)
+class Block(canonical.Record):
     """A produced block: its transactions in order, its parent and its finality."""
     height: int
     proposer: Address
@@ -146,7 +144,8 @@ class Block:
 
     def __init__(self, height, proposer, timestamp_us, txs, parent_digest, finality_time_us):
         # Fills the instance dict, where every field is read, directly: the
-        # frozen dataclass's __init__ would call object.__setattr__ per field.
+        # constructor `canonical.record` generates would call
+        # object.__setattr__ per field.
         values = self.__dict__
         values["height"] = height
         values["proposer"] = proposer
@@ -187,8 +186,8 @@ class _ParentDigest:
 Block.parent_digest = _ParentDigest()
 
 
-@dataclass(frozen=True, repr=False)
-class StampedEvent:
+@canonical.record(repr=False)
+class StampedEvent(canonical.Record):
     """A contract event with its block's height and finality, the instant
     before which nothing may act on it."""
 

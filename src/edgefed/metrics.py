@@ -17,7 +17,6 @@ empty, which neither would quote or escape.
 
 import csv
 import io
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from . import canonical
@@ -65,9 +64,8 @@ CSV_COLUMNS = (
 )
 
 
-@canonical.slot_init
-@dataclass(frozen=True, slots=True, init=False)
-class FederationTrace:
+@canonical.record(slots=True)
+class FederationTrace(canonical.Record):
     """Timeline of one federation.
 
     close_finalized_us records the instant the federation is established from
@@ -89,8 +87,8 @@ class FederationTrace:
     complete: bool
 
 
-@dataclass(frozen=True)
-class PhaseBreakdown:
+@canonical.record
+class PhaseBreakdown(canonical.Record):
     """The five phase segments; they sum to total_us exactly."""
 
     bidding_us: int
@@ -118,8 +116,8 @@ def decompose(trace: FederationTrace) -> PhaseBreakdown:
     return PhaseBreakdown(*_segments(trace))
 
 
-@dataclass(frozen=True)
-class SegmentStats:
+@canonical.record
+class SegmentStats(canonical.Record):
     """Mean, variance, minimum and maximum of one segment, in seconds."""
     mean_s: float
     variance_s2: float
@@ -127,8 +125,8 @@ class SegmentStats:
     max_s: float
 
 
-@dataclass(frozen=True)
-class AggregateStats:
+@canonical.record
+class AggregateStats(canonical.Record):
     """Per-segment statistics over the complete traces, and the sample counts."""
     segments: dict  # segment name -> SegmentStats
     n_samples: int

@@ -48,6 +48,7 @@ import random
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
+from . import canonical
 from .agents import (
     ConsumerAgent,
     DeploymentModel,
@@ -191,8 +192,8 @@ def run_transactions(consumers: int, providers: int) -> int:
     return consumers * (providers + 4)
 
 
-@dataclass(frozen=True)
-class AgentParams:
+@canonical.record
+class AgentParams(canonical.Record):
     """A scenario's `agents` object: delays, tariffs, pricing, deposits and SLA."""
     deploy_model: DeploymentModel = DeploymentModel()
     attach_time_us: int = to_micro(0.5)
@@ -245,8 +246,8 @@ class AgentParams:
             raise ConfigInvalid("agents.announce_deposit must be at least agents.sla.penalty")
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+@canonical.record
+class ScenarioConfig(canonical.Record):
     """One scenario document, validated: topology, variant, consensus, agents and sweep."""
     scenario_id: str = "scenario"
     n_systems: int = 2
@@ -458,8 +459,8 @@ def load_config(path) -> ScenarioConfig:
 # -- participants ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Participants:
+@canonical.record(eq=False, repr=False)
+class Participants(canonical.Record):
     """Addresses are seed-derived and role lists are address-sorted so the
     ledger's (submit time, sender) ordering is stable per seed."""
 
@@ -527,8 +528,8 @@ def build_consensus(cfg: ScenarioConfig, participants: Participants) -> Consensu
     )
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Cell:
+@canonical.record(eq=False, repr=False)
+class Cell(canonical.Record):
     """What every run of one config shares, built once by `build_cell`: the
     consumer and provider profiles and, for a chain variant, the contract
     genesis and the consensus config. All of it is immutable; each run makes

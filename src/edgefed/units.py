@@ -8,6 +8,8 @@ and makes digests and exported files stable across platforms.
 import dataclasses
 import functools
 import re
+import types
+from enum import Enum
 
 MICRO = 1_000_000
 
@@ -18,7 +20,20 @@ class ConfigInvalid(ValueError):
     """A scenario value that cannot be read or is out of range, named by its key."""
 
 
-_KINDS = {int: (int, "an int"), float: ((int, float), "a number")}
+_KINDS = {int: ((int,), "an int"), float: ((int, float), "a number")}
+
+
+def _kind(kind):
+    """(accepted types, their name) of a field declared as `kind`, or None
+    when `check_field_types` leaves the field to its record's own rules."""
+    if kind in _KINDS:
+        return _KINDS[kind]
+    if isinstance(kind, types.UnionType) and kind.__args__[1:] == (type(None),):
+        accepted = _kind(kind.__args__[0])
+        return accepted and ((*accepted[0], type(None)), f"{accepted[1]} or None")
+    if isinstance(kind, type) and (issubclass(kind, Enum) or dataclasses.is_dataclass(kind)):
+        return (kind,), f"{'an' if kind.__name__[0] in 'AEIOU' else 'a'} {kind.__name__}"
+    return None
 
 
 @functools.cache
@@ -30,8 +45,8 @@ def _checks(cls) -> tuple:
         kind, many = f.type, getattr(f.type, "__origin__", None) is tuple
         if many:
             kind = kind.__args__[0]
-        if kind in _KINDS:
-            checks.append((f.name, *_KINDS[kind], many))
+        if accepted := _kind(kind):
+            checks.append((f.name, *accepted, many))
     return tuple(checks)
 
 
@@ -40,7 +55,9 @@ def check_field_types(record) -> None:
     its declared kind, named as the record's type and field. An `int` field
     takes an int and a `float` field an int or float, never a bool, as in a
     document; a `tuple[int, ...]` or `tuple[float, ...]` field takes a tuple
-    or list of them. Other fields are left to the record's own rules."""
+    or list of them. A field declared as an `Enum` or dataclass, or as
+    `X | None` of one of these kinds, takes an instance of it (or None).
+    Other fields are left to the record's own rules."""
     for name, accepted, what, many in _checks(type(record)):
         value = getattr(record, name)
         where = f"{type(record).__name__}.{name}"

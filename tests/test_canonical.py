@@ -189,14 +189,21 @@ def test_a_run_builds_no_bid_record_and_its_digest_writes_each_bid_as_one(monkey
 
 
 def _record_class(built_through_slots: bool):
-    # Two classes of one name: slot_init's and the dataclass's constructor.
-    @dataclass(frozen=True, slots=True)
-    class Record:
-        n: int
-        name: str
-        inner: Inner
+    # Two classes of one name: a canonical record and its frozen dataclass twin.
+    if built_through_slots:
+        @canonical.record(slots=True)
+        class Record(canonical.Record):
+            n: int
+            name: str
+            inner: Inner
+    else:
+        @dataclass(frozen=True, slots=True)
+        class Record:
+            n: int
+            name: str
+            inner: Inner
 
-    return canonical.slot_init(Record) if built_through_slots else Record
+    return Record
 
 
 Slotted, Twin = _record_class(True), _record_class(False)
@@ -320,73 +327,107 @@ class TestSlotInit:
         assert [f.name for f in fields(slotted)] == [f.name for f in fields(twin)]
         assert canonical.digest(slotted) == canonical.digest(twin)
 
-    def test_a_default_is_refused(self):
-        @dataclass(frozen=True, slots=True)
-        class Defaulted:
+    def test_a_default_fills_a_left_out_argument(self):
+        @canonical.record(slots=True)
+        class Defaulted(canonical.Record):
             n: int
             name: str = "a"
 
-        @dataclass(frozen=True, slots=True)
-        class Factory:
+        assert (Defaulted(1).n, Defaulted(1).name) == (1, "a")
+        assert Defaulted(2, "b").name == "b"
+        assert Defaulted(name="c", n=2) == Defaulted(2, "c")
+
+    def test_a_default_factory_is_refused(self):
+        class Factory(canonical.Record):
             items: list = field(default_factory=list)
 
-        for cls in (Defaulted, Factory):
-            with pytest.raises(TypeError, match="has a default"):
-                canonical.slot_init(cls)
+        with pytest.raises(TypeError, match="has a field option"):
+            canonical.record(Factory)
 
-    def test_a_post_init_is_refused(self):
-        @dataclass(frozen=True, slots=True)
-        class Checked:
+    def test_a_post_init_runs_once_the_fields_are_set(self):
+        seen = []
+
+        @canonical.record
+        class Checked(canonical.Record):
             n: int
+            name: str = "a"
 
             def __post_init__(self):
-                raise ValueError
+                seen.append((self.n, self.name))
+                if self.n < 0:
+                    raise ValueError("negative")
 
-        with pytest.raises(TypeError, match="__post_init__"):
-            canonical.slot_init(Checked)
+        Checked(1)
+        assert seen == [(1, "a")]
+        with pytest.raises(ValueError, match="negative"):
+            Checked(-1, "b")
 
-    def test_a_class_without_slots_is_refused(self):
-        @dataclass(frozen=True)
-        class Unslotted:
+    def test_a_class_without_slots_keeps_its_fields_in_its_dict(self):
+        @canonical.record
+        class Unslotted(canonical.Record):
             n: int
+            name: str
 
-        with pytest.raises(TypeError, match="not a slot"):
-            canonical.slot_init(Unslotted)
+        record = Unslotted(1, "a")
+        assert record.__dict__ == {"n": 1, "name": "a"}
+        # Through object.__setattr__, never by writing self.__dict__.
+        assert Unslotted.__init__.__code__.co_names == ("_setattr",)
+        with pytest.raises(FrozenInstanceError, match="cannot assign to field 'n'"):
+            record.n = 2
 
     def test_a_mutable_dataclass_is_refused(self):
         @dataclass(slots=True)
         class Mutable:
             n: int
 
-        with pytest.raises(TypeError, match="frozen dataclass"):
-            canonical.slot_init(Mutable)
+        with pytest.raises(TypeError, match="subclass of canonical.Record"):
+            canonical.record(Mutable)
+
+
+def _run_records(variant: str) -> list:
+    """Every record a run makes per transaction: the transactions, their
+    calls and the events the calls' handlers return."""
+    records = []
+    for block, events in run_once(scenario(n=10, variant=variant), 0).published:
+        records += [*block.txs, *(tx.payload for tx in block.txs), *events]
+    return records
+
+
+def _built_through_its_slots(record) -> None:
+    cls = type(record)
+    assert not hasattr(record, "__dict__"), cls
+    name = fields(record)[0].name
+    with pytest.raises(FrozenInstanceError):
+        setattr(record, name, None)
+    code = cls.__init__.__code__
+    assert (code.co_name, code.co_filename) == \
+        ("__init__", f"<canonical {cls.__module__}.{cls.__qualname__}>"), cls
+    assert all(global_name.startswith("_set_") for global_name in code.co_names), cls
 
 
 def test_per_transaction_records_are_built_through_their_slots():
     # Every record a run makes once per transaction: calls, the events their
     # handlers return, and the transaction. A record type added later must
-    # not fall back to the dataclass's per-field object.__setattr__.
-    events = set()
-    for variant in ("clique", "qbft"):
-        for _, published in run_once(scenario(n=10, variant=variant), 0).published:
-            events.update(type(event) for event in published)
-    records = {*FederationContract._HANDLERS, *events, Transaction}
+    # not fall back to a per-field object.__setattr__.
+    records = {type(record): record for record in _run_records("clique") + _run_records("qbft")}
+    assert {*FederationContract._HANDLERS, Transaction} <= set(records)
     assert len(records) == 11
-    for cls in records:
-        assert cls.__dataclass_params__.frozen and "__slots__" in cls.__dict__, cls
-        code = cls.__init__.__code__
-        assert (code.co_name, code.co_filename) == \
-            ("__init__", f"<canonical {cls.__module__}.{cls.__qualname__}>"), cls
+    for record in records.values():
+        _built_through_its_slots(record)
 
 
-@pytest.mark.parametrize("cls", [FederationTrace, OverlayEndpoint, ServiceAnnouncement],
-                         ids=lambda cls: cls.__name__)
-def test_per_federation_records_are_built_through_their_slots(cls):
+_ENDPOINT = OverlayEndpoint("10.0.0.1", 4789, 100)
+
+
+@pytest.mark.parametrize("record", [
+    FederationTrace(0, 3, "ab" * 20, 0, 5_000_000, 10_000_000, 15_100_000, 20_000_000,
+                    20_500_000, True),
+    _ENDPOINT,
+    ServiceAnnouncement(0, Address.derive("consumer"), None, _ENDPOINT, 1),
+], ids=lambda record: type(record).__name__)
+def test_per_federation_records_are_built_through_their_slots(record):
     # One of each per federation: its trace, an endpoint, its announcement.
-    assert cls.__dataclass_params__.frozen and "__slots__" in cls.__dict__
-    code = cls.__init__.__code__
-    assert (code.co_name, code.co_filename) == \
-        ("__init__", f"<canonical {cls.__module__}.{cls.__qualname__}>")
+    _built_through_its_slots(record)
 
 
 def test_federation_trace_repr_is_pinned():

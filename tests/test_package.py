@@ -1,20 +1,37 @@
+import copy
 import dataclasses
 import importlib
+import json
+import os
+import pickle
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import edgefed
+from edgefed.agents import (
+    ConsumerProfile,
+    DeploymentJob,
+    DeploymentModel,
+    PricingContext,
+    ProviderProfile,
+)
 from edgefed.contract import (
     AnnounceService,
+    Bid,
     BidPlaced,
     ChooseProvider,
     CloseFederation,
     ConfirmDeployment,
+    ContractGenesis,
     DeploymentConfirmed,
     FederationClosed,
+    FederationRecord,
     OverlayEndpoint,
+    Phase,
     PlaceBid,
     ProviderChosen,
     ServiceAnnounced,
@@ -22,8 +39,9 @@ from edgefed.contract import (
     ServiceRequirements,
     SlaTerms,
 )
-from edgefed.ledger import Address, Block, Transaction
-from edgefed.metrics import FederationTrace
+from edgefed.ledger import Address, Algorithm, Block, ConsensusConfig, StampedEvent, Transaction
+from edgefed.metrics import AggregateStats, FederationTrace, PhaseBreakdown, SegmentStats
+from edgefed.simkernel import AgentParams, Cell, Participants, RunResult, ScenarioConfig
 
 
 def test_star_import_resolves_every_public_name():
@@ -79,47 +97,28 @@ VALUE_EQ = {
     "StampedEvent", "Transaction",
 }
 
+# The records a run changes in place; every other record is frozen.
+MUTABLE = {"Bid", "DeploymentJob", "FederationRecord", "RunResult"}
 
-def test_the_record_classes_are_all_found():
-    # A new record without a generated repr or value equality shows only here.
-    assert len(DATACLASSES) == 35
-
-
-def test_every_record_class_has_its_own_docstring():
-    # Without one, dataclasses renders `Name(field: type, ...)` from the signature.
-    assert [name for name, cls in DATACLASSES.items()
-            if not cls.__doc__ or cls.__doc__.startswith(f"{name}(")] == []
-
-
-# Declared without a dataclass __init__ but not through slot_init: Block,
-# whose own constructor in ledger.py fills its instance dict in one step.
+# Built by its own constructor in ledger.py, which fills its instance dict in
+# one step; every other frozen record by the one `canonical.record` generates.
 OWN_INIT = {Block}
-
-
-def test_the_slot_init_classes_are_the_ones_declared_without_a_dataclass_init():
-    assert [name for name, cls in DATACLASSES.items() if cls not in OWN_INIT
-            and cls.__init__.__code__.co_filename.startswith("<canonical ")
-            == cls.__dataclass_params__.init] == []
-    assert not Block.__dataclass_params__.init
-    assert Block.__init__.__code__.co_filename == edgefed.ledger.__file__
-
-
-def test_which_classes_have_a_generated_repr_is_pinned():
-    assert {name for name, cls in DATACLASSES.items()
-            if cls.__dataclass_params__.repr} == GENERATED_REPR
-
-
-def test_which_classes_compare_by_value_is_pinned():
-    assert {name for name, cls in DATACLASSES.items()
-            if cls.__dataclass_params__.eq} == VALUE_EQ
-
 
 _REQUIREMENTS = ServiceRequirements("app-c0", 1, 100)
 _ENDPOINT = OverlayEndpoint("10.0.0.1", 4789, 100)
 _PROVIDER = Address.derive("provider")
+_CONSUMER = Address.derive("consumer")
+_SLA = SlaTerms.from_floats(0.99, 50.0, 2.0)
+_ANNOUNCE = AnnounceService(_REQUIREMENTS, _ENDPOINT, _SLA, 10_000_000)
+_ANNOUNCEMENT = ServiceAnnouncement(0, _CONSUMER, _REQUIREMENTS, _ENDPOINT, 1)
+_TX = Transaction(3, _PROVIDER, PlaceBid(0, 150_000), 5_000_000, 1)
+_STATS = SegmentStats(0.5, 0.25, 0.0, 1.0)
+_CONSENSUS = ConsensusConfig(Algorithm.CLIQUE, 5_000_000, validators=(_PROVIDER,))
+_CONSUMER_PROFILE = ConsumerProfile(_CONSUMER, _ANNOUNCE, 500_000)
+_PROVIDER_PROFILE = ProviderProfile(_PROVIDER, 100_000, DeploymentModel())
 
 REPLACEABLE = [
-    AnnounceService(_REQUIREMENTS, _ENDPOINT, SlaTerms.from_floats(0.99, 50.0, 2.0), 10_000_000),
+    _ANNOUNCE,
     PlaceBid(0, 150_000),
     ChooseProvider(0),
     ConfirmDeployment(0, _ENDPOINT),
@@ -129,19 +128,169 @@ REPLACEABLE = [
     ProviderChosen(0, _PROVIDER, _ENDPOINT),
     DeploymentConfirmed(0, _ENDPOINT),
     FederationClosed(0),
-    Transaction(3, _PROVIDER, PlaceBid(0, 150_000), 5_000_000, 1),
+    _TX,
     FederationTrace(0, 3, _PROVIDER.hex(), 0, 5_000_000, 10_000_000, 15_100_000, 20_000_000,
                     20_500_000, True),
 ]
 
+# One record of every dataclass the package defines, by class name.
+SAMPLES = {type(record).__name__: record for record in [
+    *REPLACEABLE,
+    _REQUIREMENTS, _ENDPOINT, _SLA, _ANNOUNCEMENT, _CONSENSUS, _STATS, _CONSUMER_PROFILE,
+    _PROVIDER_PROFILE,
+    DeploymentModel(),
+    PricingContext(12, (1.0,) * 24),
+    ContractGenesis(((_PROVIDER, "mec-p0"),), ((_CONSUMER, 100_000_000),)),
+    Block(3, _PROVIDER, 15_000_000, (_TX,), "ab" * 32, 15_000_000),
+    StampedEvent(1, 5_000_000, BidPlaced(0, 2)),
+    PhaseBreakdown(1, 2, 3, 4, 5, 15),
+    AggregateStats({"total": _STATS}, 3, 0),
+    AgentParams(),
+    ScenarioConfig(),
+    Participants((_CONSUMER,), (_PROVIDER,), Address.derive("bootstrap")),
+    Cell((_CONSUMER_PROFILE,), (_PROVIDER_PROFILE,), ContractGenesis(), _CONSENSUS),
+    Bid(0, _PROVIDER, 150_000, 1, 0),
+    DeploymentJob(0, 1, 2, 3, 4),
+    FederationRecord(_ANNOUNCEMENT, Phase.OPEN),
+    RunResult(0, []),
+]}
+FROZEN = [record for name, record in SAMPLES.items() if name not in MUTABLE]
+
+
+def _values(record) -> tuple:
+    return tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+
+
+def _refuses_assignment(record) -> bool:
+    name = dataclasses.fields(record)[0].name
+    try:
+        setattr(record, name, getattr(record, name))
+    except dataclasses.FrozenInstanceError:
+        return True
+    return False
+
+
+def test_the_record_classes_are_all_found():
+    # A new record without a generated repr or value equality shows only here.
+    assert len(DATACLASSES) == 35
+    assert {type(record) for record in SAMPLES.values()} == set(DATACLASSES.values())
+
+
+def test_every_record_class_has_its_own_docstring():
+    # Without one, dataclasses renders `Name(field: type, ...)` from the signature.
+    assert [name for name, cls in DATACLASSES.items()
+            if not cls.__doc__ or cls.__doc__.startswith(f"{name}(")] == []
+
+
+def test_every_frozen_record_but_block_is_built_by_its_canonical_constructor():
+    assert {name for name, record in SAMPLES.items() if _refuses_assignment(record)} == \
+        set(DATACLASSES) - MUTABLE
+    for record in FROZEN:
+        cls = type(record)
+        code = cls.__init__.__code__
+        if cls in OWN_INIT:
+            assert code.co_filename == edgefed.ledger.__file__
+            continue
+        assert code.co_filename == f"<canonical {cls.__module__}.{cls.__qualname__}>", cls
+        # A dict-backed record is filled through object.__setattr__: writing
+        # its __dict__ would slow every later attribute read on CPython 3.11.
+        assert "__dict__" not in code.co_names, cls
+
+
+# Run in a fresh interpreter: each attribute of each class the package
+# defines that is a function (unwrapped), with the file it was compiled in.
+_COMPILED_IN = """\
+import importlib, json, pkgutil
+import edgefed
+found = {}
+for info in pkgutil.iter_modules(edgefed.__path__):
+    module = importlib.import_module(f"edgefed.{info.name}")
+    for cls in vars(module).values():
+        if isinstance(cls, type) and cls.__module__ == module.__name__:
+            for name, value in vars(cls).items():
+                value = getattr(value, "__func__", value)
+                while hasattr(value, "__wrapped__"):
+                    value = value.__wrapped__
+                if hasattr(value, "__code__"):
+                    found[f"{cls.__qualname__}.{name}"] = value.__code__.co_filename
+print(json.dumps(found))
+"""
+
+
+def test_import_leaves_dataclasses_code_only_in_the_mutable_records_constructors():
+    # dataclasses compiles each method it generates from a "<string>" source;
+    # only the mutable records keep one, their __init__.
+    src = str(Path(edgefed.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _COMPILED_IN], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    found = json.loads(done.stdout)
+    assert {name for name, filename in found.items() if filename == "<string>"} == \
+        {f"{name}.__init__" for name in MUTABLE}
+    for record in FROZEN:
+        cls = type(record)
+        if cls not in OWN_INIT:
+            assert found[f"{cls.__qualname__}.__init__"] == \
+                f"<canonical {cls.__module__}.{cls.__qualname__}>"
+
+
+def test_which_classes_have_a_generated_repr_is_pinned():
+    generated = {name for name, record in SAMPLES.items()
+                 if repr(record) != object.__repr__(record)}
+    assert generated == GENERATED_REPR
+    for name in GENERATED_REPR:
+        record = SAMPLES[name]
+        assert repr(record) == f"{name}(" + ", ".join(
+            f"{f.name}={getattr(record, f.name)!r}" for f in dataclasses.fields(record)) + ")"
+
+
+def test_which_classes_compare_by_value_is_pinned():
+    assert {name for name, record in SAMPLES.items()
+            if dataclasses.replace(record) == record} == VALUE_EQ
+
 
 def test_the_replaced_records_are_every_call_event_transaction_and_trace():
-    slot_init = {cls for cls in DATACLASSES.values() if not cls.__dataclass_params__.init} - OWN_INIT
+    slotted = {type(record) for record in FROZEN if not hasattr(record, "__dict__")}
     per_federation = {OverlayEndpoint, ServiceAnnouncement}
-    assert {type(record) for record in REPLACEABLE} == slot_init - per_federation
+    assert {type(record) for record in REPLACEABLE} == slotted - per_federation
 
 
 @pytest.mark.parametrize("record", REPLACEABLE, ids=lambda record: type(record).__name__)
 def test_replace_returns_an_equal_record_of_the_same_type(record):
     copy = dataclasses.replace(record)
     assert type(copy) is type(record) and copy == record and copy is not record
+
+
+def _ids(record) -> str:
+    return type(record).__name__
+
+
+@pytest.mark.parametrize("record", FROZEN, ids=_ids)
+def test_a_frozen_record_is_copied_pickled_and_replaced_whole(record):
+    for copied in (copy.copy(record), copy.deepcopy(record),
+                   pickle.loads(pickle.dumps(record)), dataclasses.replace(record)):
+        assert type(copied) is type(record) and _values(copied) == _values(record)
+        if type(record).__name__ in VALUE_EQ:
+            assert copied == record
+
+
+@pytest.mark.parametrize("record", FROZEN, ids=_ids)
+def test_a_frozen_record_refuses_assigning_or_deleting_any_field(record):
+    for f in dataclasses.fields(record):
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match=f"^cannot assign to field {f.name!r}$"):
+            setattr(record, f.name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match=f"^cannot delete field {f.name!r}$"):
+            delattr(record, f.name)
+
+
+@pytest.mark.parametrize("record", [record for record in FROZEN
+                                    if type(record).__name__ in VALUE_EQ], ids=_ids)
+def test_a_value_record_hashes_as_its_field_tuple(record):
+    try:
+        expected = hash(_values(record))
+    except TypeError:  # a field holds a dict: the record is unhashable too
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == expected

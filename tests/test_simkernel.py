@@ -4,7 +4,7 @@ import heapq
 import itertools
 import re
 import weakref
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -43,7 +43,7 @@ from edgefed.simkernel import (
     run_once,
     run_scenario,
 )
-from edgefed.units import to_micro
+from edgefed.units import check_field_types, to_micro
 
 from conftest import scenario
 
@@ -724,14 +724,39 @@ def test_each_config_record_refuses_a_bad_value_with_one_exception_type(build, r
      "PricingContext.jitter_fraction must be a number, got False"),
     (lambda: ConsensusConfig(Algorithm.CLIQUE, 5e6, validators=_FOUR_VALIDATORS),
      "ConsensusConfig.block_period_us must be an int, got 5000000.0"),
+    (lambda: ConsensusConfig("clique", 5_000_000, validators=_FOUR_VALIDATORS),
+     "ConsensusConfig.algorithm must be an Algorithm, got 'clique'"),
+    (lambda: ScenarioConfig(agents=None), "ScenarioConfig.agents must be an AgentParams, got None"),
+    (lambda: AgentParams(deploy_model=None),
+     "AgentParams.deploy_model must be a DeploymentModel, got None"),
+    (lambda: AgentParams(pricing={"hour_of_day": 12}),
+     "AgentParams.pricing must be a PricingContext, got {'hour_of_day': 12}"),
+    (lambda: AgentParams(sla=(990_000, 50_000, 2_000_000)),
+     "AgentParams.sla must be a SlaTerms, got (990000, 50000, 2000000)"),
 ], ids=["scenario_runs_str", "genesis_min_offers_str", "deployment_container_start_str",
         "scenario_float_split", "scenario_block_period_float", "agent_deposit_float",
         "scenario_seed_float", "scenario_runs_bool", "scenario_sweep_size_float",
         "scenario_sweep_not_a_tuple", "agent_tariff_str", "sla_penalty_float",
         "agent_abstain_str", "pricing_hour_float", "pricing_curve_none", "pricing_jitter_bool",
-        "consensus_block_period_float"])
+        "consensus_block_period_float", "consensus_algorithm_str", "scenario_agents_none",
+        "agent_deploy_model_none", "agent_pricing_dict", "agent_sla_tuple"])
 def test_a_record_built_with_a_wrong_type_is_refused_naming_its_field(build, reason):
     """A value of the wrong type is refused as a bad value is, not left to
     raise TypeError later in a run or a digest."""
     with pytest.raises(ConfigInvalid, match=f"^{re.escape(reason)}$"):
         build()
+
+
+def test_an_optional_field_takes_none_or_its_declared_kind():
+    @dataclass(frozen=True)
+    class Holder:
+        algorithm: Algorithm | None
+        period_us: int | None
+
+    check_field_types(Holder(None, None))
+    check_field_types(Holder(Algorithm.QBFT, 5))
+    with pytest.raises(ConfigInvalid,
+                       match="^Holder.algorithm must be an Algorithm or None, got 'qbft'$"):
+        check_field_types(Holder("qbft", None))
+    with pytest.raises(ConfigInvalid, match="^Holder.period_us must be an int or None, got 5.0$"):
+        check_field_types(Holder(None, 5.0))
