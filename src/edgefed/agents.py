@@ -17,7 +17,6 @@ profile holds its announcement call, built once per scenario; the kernel
 schedules `announce(now_us)`, which submits it at once.
 """
 
-from dataclasses import dataclass
 from functools import partial
 
 from . import canonical
@@ -80,7 +79,7 @@ class PricingContext(canonical.Record):
             raise ConfigInvalid("agents.hour_of_day must be in 0..23")
 
 
-@canonical.record(repr=False)
+@canonical.record
 class ProviderProfile(canonical.Record):
     """One provider's address, base tariff and deployment model."""
     address: Address
@@ -88,7 +87,7 @@ class ProviderProfile(canonical.Record):
     deploy_model: DeploymentModel
 
 
-@canonical.record(repr=False)
+@canonical.record
 class ConsumerProfile(canonical.Record):
     """One consumer's address, the announcement it makes and its overlay attach time."""
     address: Address
@@ -113,8 +112,8 @@ def pricer(base_tariff_micro: int, ctx: PricingContext, rng):
     return lambda: max(1, round(scale * (1.0 + (low + span * draw()))))
 
 
-@dataclass(eq=False, repr=False)
-class DeploymentJob:
+@canonical.record
+class DeploymentJob(canonical.Record):
     """One won federation in a provider's deployment queue, with its instants."""
     ann_id: int
     enqueued_us: int

@@ -17,20 +17,19 @@ encodings twice while it is written. A record's header and field names are
 kept per dataclass type from its first write; nothing else outlives a
 digest.
 
-The frozen records of the package derive from `Record` and are declared
-through `record`, which keeps them dataclasses (`fields`, `replace`) but
-compiles nothing for them but a constructor. Their equality, hashing,
-refusal of assignment, pickling and repr are written once here and read a
-record's fields through one `attrgetter` per class, where `dataclass` would
-compile each for each class when the package is imported. A slotted
-record's constructor fills each slot directly instead of calling
-`object.__setattr__` per field.
+Every immutable record of the package derives from `Record` and is declared
+through `record`, one way: slotted, frozen, equal and hashed by value,
+printed field by field, and built by the one constructor `record` compiles,
+which fills each slot directly. It stays a dataclass (`fields`, `replace`).
+Its equality, hashing, refusal of assignment, pickling and repr are written
+once here and read a record's fields through one `attrgetter` per class,
+where `dataclass` would compile each for each class when the package is
+imported.
 """
 
 import dataclasses
 import hashlib
 import struct
-import types
 from enum import Enum
 from operator import attrgetter
 from reprlib import recursive_repr
@@ -142,10 +141,10 @@ def _write_sorted(members, out) -> None:
 
 class Record:
     """Base of a frozen record: it equals a record of its own type with equal
-    fields and hashes as its field tuple, as a frozen dataclass does, and
-    refuses assignment and deletion with `FrozenInstanceError`. A copy or an
-    unpickled record is rebuilt field by field, not through the constructor.
-    Declare a subclass through `record`."""
+    fields and hashes as its field tuple, as a frozen dataclass does, prints
+    as `Name(field=value!r, ...)`, and refuses assignment and deletion with
+    `FrozenInstanceError`. A copy or an unpickled record is rebuilt field by
+    field, not through the constructor. Declare a subclass through `record`."""
 
     __slots__ = ()
 
@@ -157,6 +156,12 @@ class Record:
 
     def __hash__(self):
         return hash(self._field_values(self))
+
+    @recursive_repr()
+    def __repr__(self):
+        pairs = zip(self.__match_args__, self._field_values(self))
+        fields = ", ".join([f"{name}={value!r}" for name, value in pairs])
+        return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
         raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -177,53 +182,33 @@ def _rebuilt(cls, values):
     return built
 
 
-@recursive_repr()
-def _repr(self):
-    """A frozen dataclass's repr: `Name(field=value!r, ...)`."""
-    pairs = zip(self.__match_args__, self._field_values(self))
-    fields = ", ".join([f"{name}={value!r}" for name, value in pairs])
-    return f"{type(self).__qualname__}({fields})"
-
-
-def record(cls=None, /, *, slots=False, eq=True, repr=True):
-    """Class decorator for a subclass of `Record`: a dataclass for which
-    `dataclass` generates no method, and whose one compiled method is its
-    constructor. That takes each field positionally or by keyword, in field
-    order, with the field's default if it has one, stores it, then calls
-    `__post_init__` if the class has one. A slotted record (`slots`) stores
-    each field through its slot, the member descriptor's `__set__`; any
-    other through `object.__setattr__`, never by writing `__dict__`. A
-    constructor of the class's own is kept. `eq=False` leaves identity
-    equality and hashing; `repr=False` leaves `object`'s repr. Every field
-    is compared, hashed and printed, so a field option other than a plain
-    default is refused."""
-    def wrap(cls):
-        if not issubclass(cls, Record):
-            raise TypeError(f"record needs a subclass of canonical.Record, not {cls.__qualname__}")
-        cls = dataclasses.dataclass(cls, init=False, repr=False, eq=False, slots=slots)
-        fields = dataclasses.fields(cls)
-        for field in fields:
-            if not (field.init and field.repr and field.compare and field.hash is None
-                    and field.default_factory is dataclasses.MISSING):
-                raise TypeError(f"{cls.__qualname__}.{field.name} has a field option")
-        get = attrgetter(*cls.__match_args__)
-        cls._field_values = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
-        if not eq:
-            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
-        if repr:
-            cls.__repr__ = _repr
-        if "__init__" not in cls.__dict__:
-            cls.__init__ = _constructor(cls, fields)
-        return cls
-
-    return wrap if cls is None else wrap(cls)
+def record(cls):
+    """Class decorator for a subclass of `Record`: a slotted dataclass for
+    which `dataclass` generates no method, and whose one compiled method is
+    its constructor. That takes each field positionally or by keyword, in
+    field order, with the field's default if it has one, stores it through
+    its slot, the member descriptor's `__set__`, then calls `__post_init__`
+    if the class has one. Every field is compared, hashed and printed, so a
+    field option other than a plain default is refused."""
+    if not issubclass(cls, Record):
+        raise TypeError(f"record needs a subclass of canonical.Record, not {cls.__qualname__}")
+    cls = dataclasses.dataclass(cls, init=False, repr=False, eq=False, slots=True)
+    fields = dataclasses.fields(cls)
+    for field in fields:
+        if not (field.init and field.repr and field.compare and field.hash is None
+                and field.default_factory is dataclasses.MISSING):
+            raise TypeError(f"{cls.__qualname__}.{field.name} has a field option")
+    get = attrgetter(*cls.__match_args__)
+    cls._field_values = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
+    cls.__init__ = _constructor(cls, fields)
+    return cls
 
 
 def _constructor(cls, fields):
     """The generated `__init__` of the record class `cls`, compiled in a file
     named after the class, so profiles and tracebacks tell the constructors
     apart."""
-    namespace = {"_setattr": object.__setattr__}
+    namespace = {}
     params, body = ["self"], []
     for field in fields:
         name = field.name
@@ -232,12 +217,8 @@ def _constructor(cls, fields):
         else:
             namespace[f"_default_{name}"] = field.default
             params.append(f"{name}=_default_{name}")
-        slot = getattr(cls, name, None)
-        if isinstance(slot, types.MemberDescriptorType):
-            namespace[f"_set_{name}"] = slot.__set__
-            body.append(f"    _set_{name}(self, {name})")
-        else:
-            body.append(f"    _setattr(self, {name!r}, {name})")
+        namespace[f"_set_{name}"] = getattr(cls, name).__set__  # the field's slot
+        body.append(f"    _set_{name}(self, {name})")
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()")
     source = "\n".join([f"def __init__({', '.join(params)}):", *body])

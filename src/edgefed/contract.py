@@ -77,7 +77,7 @@ class ServiceRequirements(canonical.Record):
     bandwidth_mbps: int
 
 
-@canonical.record(slots=True, repr=False)
+@canonical.record
 class OverlayEndpoint(canonical.Record):
     """A VXLAN overlay endpoint: address, UDP port and network identifier."""
     ip: str
@@ -103,11 +103,8 @@ class SlaTerms(canonical.Record):
 
 # -- calls -------------------------------------------------------------------
 
-# Each transaction carries a call and yields an event, so both kinds of
-# record are slotted, built through their slots (`canonical.record`).
 
-
-@canonical.record(slots=True, repr=False)
+@canonical.record
 class AnnounceService(canonical.Record):
     """Call: a consumer opens an auction, escrowing its deposit."""
     requirements: ServiceRequirements
@@ -116,27 +113,27 @@ class AnnounceService(canonical.Record):
     deposit_micro: int
 
 
-@canonical.record(slots=True, repr=False)
+@canonical.record
 class PlaceBid(canonical.Record):
     """Call: a provider bids a price on an open announcement."""
     ann_id: int
     price_micro: int
 
 
-@canonical.record(slots=True, repr=False)
+@canonical.record
 class ChooseProvider(canonical.Record):
     """Call: the consumer ends bidding; the contract picks the winner."""
     ann_id: int
 
 
-@canonical.record(slots=True, repr=False)
+@canonical.record
 class ConfirmDeployment(canonical.Record):
     """Call: the winner reports its service deployed at its overlay endpoint."""
     ann_id: int
     provider_endpoint: OverlayEndpoint
 
 
-@canonical.record(slots=True, repr=False)
+@canonical.record
 class CloseFederation(canonical.Record):
     """Call: the consumer closes the federation once attached."""
     ann_id: int
@@ -145,7 +142,7 @@ class CloseFederation(canonical.Record):
 # -- events ------------------------------------------------------------------
 
 
-@canonical.record(slots=True, repr=False)
+@canonical.record
 class ServiceAnnounced(canonical.Record):
     """Carries the announcement id and requirements only (data minimization)."""
 
@@ -153,14 +150,14 @@ class ServiceAnnounced(canonical.Record):
     requirements: ServiceRequirements
 
 
-@canonical.record(slots=True, repr=False)
+@canonical.record
 class BidPlaced(canonical.Record):
     """Carries the announcement id and how many bids it holds, not the price."""
     ann_id: int
     bid_count: int
 
 
-@canonical.record(slots=True, repr=False)
+@canonical.record
 class ProviderChosen(canonical.Record):
     """Releases the consumer endpoint to the winner at selection time."""
 
@@ -169,14 +166,14 @@ class ProviderChosen(canonical.Record):
     consumer_endpoint: OverlayEndpoint
 
 
-@canonical.record(slots=True, repr=False)
+@canonical.record
 class DeploymentConfirmed(canonical.Record):
     """Releases the provider endpoint to the consumer."""
     ann_id: int
     provider_endpoint: OverlayEndpoint
 
 
-@canonical.record(slots=True, repr=False)
+@canonical.record
 class FederationClosed(canonical.Record):
     """Marks the federation closed by its consumer."""
     ann_id: int
@@ -185,7 +182,7 @@ class FederationClosed(canonical.Record):
 # -- state -------------------------------------------------------------------
 
 
-@canonical.record(slots=True, repr=False)
+@canonical.record
 class ServiceAnnouncement(canonical.Record):
     """An announcement as the contract stores it: who made it, what and in which block."""
     ann_id: int
@@ -195,8 +192,8 @@ class ServiceAnnouncement(canonical.Record):
     announce_block: int
 
 
-@dataclass(slots=True, eq=False, repr=False)
-class Bid:
+@canonical.record
+class Bid(canonical.Record):
     """A standing bid as `state_digest` writes it. The contract stores each
     bid under its provider as its key, `(price_micro, bid_block,
     order_index)`, and builds this record only for the digest."""

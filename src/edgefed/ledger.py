@@ -8,13 +8,14 @@ deterministic given the sequence of submissions.
 An `Address` is a 20-byte `bytes` subclass with no instance `__dict__`, so
 the nonces, operators, bids and agents keyed by it hash and compare in C;
 `canonical` writes it as a record of one field, its bytes. A run makes one
-transaction per bid, so a `Transaction` is a slotted record built through
-its slots (`canonical.record`).
+transaction per bid; a `Transaction`, like every record here, is a
+slotted record built through its slots (`canonical.record`).
 
 A block's `parent_digest` is computed when it is first read and then cached
-on the block; until then the block holds its parent `Block`. So a run hashes
+in its slot; until then the slot holds the parent `Block`. So a run hashes
 no block unless something reads a digest, and a lone `Block` keeps its
-ancestors alive until its digest is read.
+ancestors alive until its digest is read. Comparing or printing a block
+reads its digest, and so hashes its ancestors.
 
 A run's memory grows with its transactions, so the per-transaction cost is
 kept down. The submissions of one instant share one clock value: each
@@ -24,8 +25,8 @@ on fields the transactions already hold, sender then submit time, of
 which a block of one instant needs only the first.
 
 A block's fixed cost is kept down too, since one comes every period: an
-empty or wholly ready mempool is not searched, a block of one transaction is
-not sorted, and a `Block` is built by filling its instance dict.
+empty or wholly ready mempool is not searched, and a block of one
+transaction is not sorted.
 """
 
 import hashlib
@@ -90,7 +91,7 @@ class ConsensusConfig(canonical.Record):
     block_period_us: int
     message_delay_us: int = to_micro(0.05)
     validation_cost_us: int = to_micro(0.05)
-    validators: tuple = ()
+    validators: tuple[Address, ...] = ()
 
     def __post_init__(self):
         check_field_types(self)
@@ -122,7 +123,7 @@ def finality_delay_us(cfg: ConsensusConfig) -> int:
     return 3 * cfg.message_delay_us + cfg.validation_cost_us * rounds
 
 
-@canonical.record(slots=True, repr=False)
+@canonical.record
 class Transaction(canonical.Record):
     """A contract call as submitted: its sender, submit instant and nonce."""
     id: int
@@ -132,7 +133,7 @@ class Transaction(canonical.Record):
     nonce: int
 
 
-@canonical.record(repr=False)
+@canonical.record
 class Block(canonical.Record):
     """A produced block: its transactions in order, its parent and its finality."""
     height: int
@@ -142,18 +143,6 @@ class Block(canonical.Record):
     parent_digest: "str | Block"  # the parent Block until first read: _ParentDigest
     finality_time_us: int
 
-    def __init__(self, height, proposer, timestamp_us, txs, parent_digest, finality_time_us):
-        # Fills the instance dict, where every field is read, directly: the
-        # constructor `canonical.record` generates would call
-        # object.__setattr__ per field.
-        values = self.__dict__
-        values["height"] = height
-        values["proposer"] = proposer
-        values["timestamp_us"] = timestamp_us
-        values["txs"] = txs
-        values["parent_digest"] = parent_digest
-        values["finality_time_us"] = finality_time_us
-
 
 def block_digest(block: Block) -> str:
     return canonical.digest(block)
@@ -161,32 +150,36 @@ def block_digest(block: Block) -> str:
 
 class _ParentDigest:
     """`Block.parent_digest`: the parent `Block` until first read, then its
-    digest. Kept in the instance `__dict__`; `__set__` makes this a data
-    descriptor, so reads come here and not from the dict."""
+    digest. Both are kept in the field's slot, whose member descriptor this
+    wraps; `__set__` stores through it, for a copy or an unpickled block."""
+
+    def __init__(self, slot):
+        self._get, self._set = slot.__get__, slot.__set__
 
     def __get__(self, block, owner=None):
         if block is None:
             raise AttributeError("parent_digest")  # so it is no dataclass default
         # Walk back to the nearest known digest, then hash forward, oldest
         # first, so that each parent's own digest is known when it is hashed.
-        value = block.__dict__["parent_digest"]
-        pending = []
+        get, pending = self._get, []
+        value = get(block)
         while type(value) is not str:
             pending.append(block)
             block = value
-            value = block.__dict__["parent_digest"]
+            value = get(block)
         for block in reversed(pending):
-            value = block.__dict__["parent_digest"] = block_digest(block.__dict__["parent_digest"])
+            value = block_digest(get(block))
+            self._set(block, value)
         return value
 
     def __set__(self, block, value):
-        block.__dict__["parent_digest"] = value
+        self._set(block, value)
 
 
-Block.parent_digest = _ParentDigest()
+Block.parent_digest = _ParentDigest(Block.parent_digest)
 
 
-@canonical.record(repr=False)
+@canonical.record
 class StampedEvent(canonical.Record):
     """A contract event with its block's height and finality, the instant
     before which nothing may act on it."""

@@ -64,7 +64,7 @@ CSV_COLUMNS = (
 )
 
 
-@canonical.record(slots=True)
+@canonical.record
 class FederationTrace(canonical.Record):
     """Timeline of one federation.
 
@@ -234,6 +234,14 @@ def read_csv(path) -> list[dict]:
     return rows
 
 
+def _count(text: str) -> int:
+    """A column of ASCII digits only, which `int` alone would not insist on:
+    it takes "1_0", " 2", "+2" and other scripts' digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def _flag(text: str) -> bool:
     if text not in ("true", "false"):
         raise ValueError(text)
@@ -258,9 +266,9 @@ def _read_row(raw: dict, where: str) -> dict:
     row = {
         "scenario_id": cell("scenario_id", str, True),
         "consensus": cell("consensus", str, True),
-        "n_systems": cell("n_systems", int, True),
-        "run": cell("run", int, True),
-        "ann_id": cell("ann_id", int, False),
+        "n_systems": cell("n_systems", _count, True),
+        "run": cell("run", _count, True),
+        "ann_id": cell("ann_id", _count, False),
         "complete": cell("complete", _flag, True),
     }
     for name in SEGMENTS:  # a complete row carries every segment

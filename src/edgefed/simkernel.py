@@ -45,7 +45,7 @@ import json
 import math
 import os
 import random
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import fields, replace
 from functools import partial
 
 from . import canonical
@@ -246,6 +246,9 @@ class AgentParams(canonical.Record):
             raise ConfigInvalid("agents.announce_deposit must be at least agents.sla.penalty")
 
 
+_AGENTS = AgentParams()  # the defaults: a slotted record's class holds none
+
+
 @canonical.record
 class ScenarioConfig(canonical.Record):
     """One scenario document, validated: topology, variant, consensus, agents and sweep."""
@@ -257,7 +260,7 @@ class ScenarioConfig(canonical.Record):
     block_period_us: int = to_micro(5.0)
     message_delay_us: int = to_micro(0.05)
     validation_cost_us: int = to_micro(0.05)
-    agents: AgentParams = AgentParams()
+    agents: AgentParams = _AGENTS
     runs: int = 20
     seed: int = 1
     concurrency_mode: str = MODE_ALL
@@ -383,7 +386,7 @@ def _object(build, table):
 def _agent_params(**args) -> AgentParams:
     # The pricing keys sit in the agents object itself.
     pricing = {f.name: args.pop(f.name) for f in fields(PricingContext) if f.name in args}
-    return AgentParams(pricing=replace(AgentParams.pricing, **pricing), **args)
+    return AgentParams(pricing=replace(_AGENTS.pricing, **pricing), **args)
 
 
 # The scenario document's schema, in the table form `_section` reads.
@@ -411,7 +414,7 @@ _SCHEMA = {
         "jitter_fraction": ("jitter_fraction", _real),
         "abstain_probability": ("abstain_probability", _real),
         "announce_deposit": ("deposit_micro", _micro),
-        "sla": ("sla", _object(partial(replace, AgentParams.sla), {
+        "sla": ("sla", _object(partial(replace, _AGENTS.sla), {
             "min_availability": ("min_availability_micro", _micro),
             "max_latency_ms": ("max_latency_us", _number(ms_to_micro)),
             "penalty": ("penalty_micro", _micro),
@@ -459,7 +462,7 @@ def load_config(path) -> ScenarioConfig:
 # -- participants ---------------------------------------------------------------
 
 
-@canonical.record(eq=False, repr=False)
+@canonical.record
 class Participants(canonical.Record):
     """Addresses are seed-derived and role lists are address-sorted so the
     ledger's (submit time, sender) ordering is stable per seed."""
@@ -528,7 +531,7 @@ def build_consensus(cfg: ScenarioConfig, participants: Participants) -> Consensu
     )
 
 
-@canonical.record(eq=False, repr=False)
+@canonical.record
 class Cell(canonical.Record):
     """What every run of one config shares, built once by `build_cell`: the
     consumer and provider profiles and, for a chain variant, the contract
@@ -553,8 +556,8 @@ def build_cell(cfg: ScenarioConfig) -> Cell:
 # -- run execution -----------------------------------------------------------------
 
 
-@dataclass(eq=False, repr=False)
-class RunResult:
+@canonical.record
+class RunResult(canonical.Record):
     """One run's traces and, for a chain variant, its ledger, contract and published events."""
     run_index: int
     traces: list
@@ -562,7 +565,7 @@ class RunResult:
     genesis: ContractGenesis | None = None
     contract: FederationContract | None = None
     ledger: Ledger | None = None
-    published: list = field(default_factory=list)  # (block, its events) per block
+    published: tuple = ()  # (block, its events) per block
 
     @property
     def stamped_events(self) -> list:
@@ -641,7 +644,7 @@ class _ChainRun:
                 genesis=self.genesis,
                 contract=self.contract,
                 ledger=self.ledger,
-                published=self.published,
+                published=tuple(self.published),
             )
         finally:
             if collecting:

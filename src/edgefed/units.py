@@ -20,7 +20,8 @@ class ConfigInvalid(ValueError):
     """A scenario value that cannot be read or is out of range, named by its key."""
 
 
-_KINDS = {int: ((int,), "an int"), float: ((int, float), "a number")}
+_KINDS = {int: ((int,), "an int"), float: ((int, float), "a number"),
+          tuple: ((tuple, list), "a tuple")}
 
 
 def _kind(kind):
@@ -31,7 +32,8 @@ def _kind(kind):
     if isinstance(kind, types.UnionType) and kind.__args__[1:] == (type(None),):
         accepted = _kind(kind.__args__[0])
         return accepted and ((*accepted[0], type(None)), f"{accepted[1]} or None")
-    if isinstance(kind, type) and (issubclass(kind, Enum) or dataclasses.is_dataclass(kind)):
+    if isinstance(kind, type) and (issubclass(kind, (Enum, bytes))
+                                   or dataclasses.is_dataclass(kind)):
         return (kind,), f"{'an' if kind.__name__[0] in 'AEIOU' else 'a'} {kind.__name__}"
     return None
 
@@ -54,10 +56,11 @@ def check_field_types(record) -> None:
     """Refuse the first field of the dataclass `record` whose value is not of
     its declared kind, named as the record's type and field. An `int` field
     takes an int and a `float` field an int or float, never a bool, as in a
-    document; a `tuple[int, ...]` or `tuple[float, ...]` field takes a tuple
-    or list of them. A field declared as an `Enum` or dataclass, or as
-    `X | None` of one of these kinds, takes an instance of it (or None).
-    Other fields are left to the record's own rules."""
+    document; a `tuple` field takes a tuple or list, and a `tuple[X, ...]`
+    field one of items of kind X. A field declared as an `Enum`, dataclass
+    or `bytes` subclass (an `Address`), or as `X | None` of one of these
+    kinds, takes an instance of it (or None). Other fields are left to the
+    record's own rules."""
     for name, accepted, what, many in _checks(type(record)):
         value = getattr(record, name)
         where = f"{type(record).__name__}.{name}"

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError, dataclass, field, fields, replace
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgefed import canonical
+from edgefed import ledger as ledger_module
 from edgefed.contract import Bid, FederationContract, OverlayEndpoint, PlaceBid, ServiceAnnouncement
 from edgefed.ledger import Address, Block, Transaction, block_digest
 from edgefed.metrics import FederationTrace
@@ -174,6 +177,31 @@ def test_block_and_state_digests_are_pinned(variant):
     assert result.contract.state_digest() == STATE_DIGEST_N30
 
 
+@pytest.mark.parametrize("duplicate", [
+    copy.copy, copy.deepcopy, lambda block: pickle.loads(pickle.dumps(block)), replace,
+], ids=["copy", "deepcopy", "pickle", "replace"])
+def test_a_duplicated_block_keeps_the_lazy_parent_digest_of_its_original(monkeypatch, duplicate):
+    # The last block of a fresh run, whose ancestors are not hashed yet: its
+    # slot holds its parent Block until the duplicate reads it.
+    calls, hash_block = [0], ledger_module.block_digest
+
+    def counting(block):
+        calls[0] += 1
+        return hash_block(block)
+
+    monkeypatch.setattr(ledger_module, "block_digest", counting)
+    blocks = run_once(scenario(n=30, seed=7), 0).blocks
+    assert calls == [0]
+    duplicated = duplicate(blocks[-1])
+    assert calls == [len(blocks) - 1]  # each ancestor once, as the duplicate read it
+    assert type(duplicated) is Block and duplicated is not blocks[-1]
+    assert duplicated.parent_digest == blocks[-1].parent_digest
+    last, chain = CHAIN_PINS["clique"]
+    digests = [block_digest(block) for block in blocks]
+    assert digests[-1] == block_digest(duplicated) == last
+    assert hashlib.sha256("".join(digests).encode()).hexdigest() == chain
+
+
 def test_a_run_builds_no_bid_record_and_its_digest_writes_each_bid_as_one(monkeypatch):
     built, init = [0], Bid.__init__
 
@@ -191,7 +219,7 @@ def test_a_run_builds_no_bid_record_and_its_digest_writes_each_bid_as_one(monkey
 def _record_class(built_through_slots: bool):
     # Two classes of one name: a canonical record and its frozen dataclass twin.
     if built_through_slots:
-        @canonical.record(slots=True)
+        @canonical.record
         class Record(canonical.Record):
             n: int
             name: str
@@ -328,7 +356,7 @@ class TestSlotInit:
         assert canonical.digest(slotted) == canonical.digest(twin)
 
     def test_a_default_fills_a_left_out_argument(self):
-        @canonical.record(slots=True)
+        @canonical.record
         class Defaulted(canonical.Record):
             n: int
             name: str = "a"
@@ -361,19 +389,6 @@ class TestSlotInit:
         assert seen == [(1, "a")]
         with pytest.raises(ValueError, match="negative"):
             Checked(-1, "b")
-
-    def test_a_class_without_slots_keeps_its_fields_in_its_dict(self):
-        @canonical.record
-        class Unslotted(canonical.Record):
-            n: int
-            name: str
-
-        record = Unslotted(1, "a")
-        assert record.__dict__ == {"n": 1, "name": "a"}
-        # Through object.__setattr__, never by writing self.__dict__.
-        assert Unslotted.__init__.__code__.co_names == ("_setattr",)
-        with pytest.raises(FrozenInstanceError, match="cannot assign to field 'n'"):
-            record.n = 2
 
     def test_a_mutable_dataclass_is_refused(self):
         @dataclass(slots=True)

@@ -229,8 +229,16 @@ class TestCompare:
         (HEADER, ROW.replace("17.600000", "99.000000"),
          "row 2, column total_s: the segments sum to 17.600000, not 99.000000"),
         (HEADER, ROW + ",junk,more", "row 2: 2 more cell(s) than the header"),
+        # Only ASCII digits, though int() takes each of these.
+        (HEADER, ROW.replace("clique,2,", "clique,\u0662,"),
+         "row 2, column n_systems: cannot read '\u0662'"),
+        (HEADER, ROW.replace("clique,2,", "clique,1_0,"), "row 2, column n_systems: cannot read '1_0'"),
+        (HEADER, ROW.replace("clique,2,0,", "clique,2,+0,"), "row 2, column run: cannot read '+0'"),
+        (HEADER, ROW.replace("clique,2,0,0,", "clique,2,0, 0,"),
+         "row 2, column ann_id: cannot read ' 0'"),
     ], ids=["missing_column", "non_numeric_n_systems", "complete_without_segments",
-            "seventh_fraction_digit", "segments_do_not_sum_to_total", "cells_beyond_the_header"])
+            "seventh_fraction_digit", "segments_do_not_sum_to_total", "cells_beyond_the_header",
+            "arabic_indic_n_systems", "underscored_n_systems", "signed_run", "spaced_ann_id"])
     def test_malformed_csv_exits_1_naming_file_row_and_column(
             self, tmp_path, capsys, header, row, reason):
         err = self.compare_fails(

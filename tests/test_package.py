@@ -29,6 +29,7 @@ from edgefed.contract import (
     ContractGenesis,
     DeploymentConfirmed,
     FederationClosed,
+    FederationContract,
     FederationRecord,
     OverlayEndpoint,
     Phase,
@@ -78,31 +79,10 @@ def _dataclasses():
 
 DATACLASSES = _dataclasses()
 
-# Printed field by field: the configs, the aggregate results and the trace,
-# whose repr the benchmark's fingerprint hashes.
-GENERATED_REPR = {
-    "AgentParams", "AggregateStats", "ConsensusConfig", "ContractGenesis", "DeploymentModel",
-    "FederationTrace", "PhaseBreakdown", "PricingContext", "ScenarioConfig", "SegmentStats",
-    "ServiceRequirements", "SlaTerms",
-}
-
-# Compared by value. The rest compare (and, when frozen, hash) by identity.
-VALUE_EQ = {
-    "AgentParams", "AggregateStats", "AnnounceService", "BidPlaced", "Block",
-    "ChooseProvider", "CloseFederation", "ConfirmDeployment", "ConsensusConfig",
-    "ConsumerProfile", "ContractGenesis", "DeploymentConfirmed", "DeploymentModel",
-    "FederationClosed", "FederationTrace", "OverlayEndpoint", "PhaseBreakdown", "PlaceBid",
-    "PricingContext", "ProviderChosen", "ProviderProfile", "ScenarioConfig", "SegmentStats",
-    "ServiceAnnounced", "ServiceAnnouncement", "ServiceRequirements", "SlaTerms",
-    "StampedEvent", "Transaction",
-}
-
-# The records a run changes in place; every other record is frozen.
-MUTABLE = {"Bid", "DeploymentJob", "FederationRecord", "RunResult"}
-
-# Built by its own constructor in ledger.py, which fills its instance dict in
-# one step; every other frozen record by the one `canonical.record` generates.
-OWN_INIT = {Block}
+# The one record a run changes in place, so a plain mutable dataclass.
+# Every other record is a `canonical.record`: slotted, frozen, equal and
+# hashed by value, printed field by field and built by its one constructor.
+MUTABLE = {"FederationRecord"}
 
 _REQUIREMENTS = ServiceRequirements("app-c0", 1, 100)
 _ENDPOINT = OverlayEndpoint("10.0.0.1", 4789, 100)
@@ -171,7 +151,7 @@ def _refuses_assignment(record) -> bool:
 
 
 def test_the_record_classes_are_all_found():
-    # A new record without a generated repr or value equality shows only here.
+    # A new record class shows here until SAMPLES holds one of it.
     assert len(DATACLASSES) == 35
     assert {type(record) for record in SAMPLES.values()} == set(DATACLASSES.values())
 
@@ -182,19 +162,17 @@ def test_every_record_class_has_its_own_docstring():
             if not cls.__doc__ or cls.__doc__.startswith(f"{name}(")] == []
 
 
-def test_every_frozen_record_but_block_is_built_by_its_canonical_constructor():
+def test_every_frozen_record_is_built_by_its_canonical_constructor():
     assert {name for name, record in SAMPLES.items() if _refuses_assignment(record)} == \
         set(DATACLASSES) - MUTABLE
     for record in FROZEN:
         cls = type(record)
         code = cls.__init__.__code__
-        if cls in OWN_INIT:
-            assert code.co_filename == edgefed.ledger.__file__
-            continue
         assert code.co_filename == f"<canonical {cls.__module__}.{cls.__qualname__}>", cls
-        # A dict-backed record is filled through object.__setattr__: writing
-        # its __dict__ would slow every later attribute read on CPython 3.11.
-        assert "__dict__" not in code.co_names, cls
+        # Every field is stored through its slot, none through __dict__.
+        assert not hasattr(record, "__dict__"), cls
+        assert {name for name in code.co_names if not name.startswith("_set_")} <= \
+            {"__post_init__"}, cls
 
 
 # Run in a fresh interpreter: each attribute of each class the package
@@ -228,30 +206,28 @@ def test_import_leaves_dataclasses_code_only_in_the_mutable_records_constructors
         {f"{name}.__init__" for name in MUTABLE}
     for record in FROZEN:
         cls = type(record)
-        if cls not in OWN_INIT:
-            assert found[f"{cls.__qualname__}.__init__"] == \
-                f"<canonical {cls.__module__}.{cls.__qualname__}>"
+        assert found[f"{cls.__qualname__}.__init__"] == \
+            f"<canonical {cls.__module__}.{cls.__qualname__}>"
 
 
 def test_which_classes_have_a_generated_repr_is_pinned():
     generated = {name for name, record in SAMPLES.items()
                  if repr(record) != object.__repr__(record)}
-    assert generated == GENERATED_REPR
-    for name in GENERATED_REPR:
-        record = SAMPLES[name]
-        assert repr(record) == f"{name}(" + ", ".join(
+    assert generated == set(DATACLASSES) - MUTABLE
+    for record in FROZEN:
+        assert repr(record) == f"{type(record).__name__}(" + ", ".join(
             f"{f.name}={getattr(record, f.name)!r}" for f in dataclasses.fields(record)) + ")"
 
 
 def test_which_classes_compare_by_value_is_pinned():
     assert {name for name, record in SAMPLES.items()
-            if dataclasses.replace(record) == record} == VALUE_EQ
+            if dataclasses.replace(record) == record} == set(DATACLASSES) - MUTABLE
 
 
 def test_the_replaced_records_are_every_call_event_transaction_and_trace():
-    slotted = {type(record) for record in FROZEN if not hasattr(record, "__dict__")}
-    per_federation = {OverlayEndpoint, ServiceAnnouncement}
-    assert {type(record) for record in REPLACEABLE} == slotted - per_federation
+    events = {ServiceAnnounced, BidPlaced, ProviderChosen, DeploymentConfirmed, FederationClosed}
+    assert {type(record) for record in REPLACEABLE} == \
+        {*FederationContract._HANDLERS, *events, Transaction, FederationTrace}
 
 
 @pytest.mark.parametrize("record", REPLACEABLE, ids=lambda record: type(record).__name__)
@@ -269,8 +245,7 @@ def test_a_frozen_record_is_copied_pickled_and_replaced_whole(record):
     for copied in (copy.copy(record), copy.deepcopy(record),
                    pickle.loads(pickle.dumps(record)), dataclasses.replace(record)):
         assert type(copied) is type(record) and _values(copied) == _values(record)
-        if type(record).__name__ in VALUE_EQ:
-            assert copied == record
+        assert copied == record
 
 
 @pytest.mark.parametrize("record", FROZEN, ids=_ids)
@@ -284,8 +259,7 @@ def test_a_frozen_record_refuses_assigning_or_deleting_any_field(record):
             delattr(record, f.name)
 
 
-@pytest.mark.parametrize("record", [record for record in FROZEN
-                                    if type(record).__name__ in VALUE_EQ], ids=_ids)
+@pytest.mark.parametrize("record", FROZEN, ids=_ids)
 def test_a_value_record_hashes_as_its_field_tuple(record):
     try:
         expected = hash(_values(record))

@@ -712,7 +712,7 @@ def test_each_config_record_refuses_a_bad_value_with_one_exception_type(build, r
     (lambda: ScenarioConfig(sweep_n=10), "ScenarioConfig.sweep_n must be a tuple, got 10"),
     (lambda: AgentParams(tariffs_micro=(100_000, "1")),
      "AgentParams.tariffs_micro[1] must be an int, got '1'"),
-    (lambda: AgentParams(sla=replace(AgentParams.sla, penalty_micro=2e6)),
+    (lambda: AgentParams(sla=replace(AgentParams().sla, penalty_micro=2e6)),
      "SlaTerms.penalty_micro must be an int, got 2000000.0"),
     (lambda: AgentParams(abstain_probability="0"),
      "AgentParams.abstain_probability must be a number, got '0'"),
@@ -733,13 +733,19 @@ def test_each_config_record_refuses_a_bad_value_with_one_exception_type(build, r
      "AgentParams.pricing must be a PricingContext, got {'hour_of_day': 12}"),
     (lambda: AgentParams(sla=(990_000, 50_000, 2_000_000)),
      "AgentParams.sla must be a SlaTerms, got (990000, 50000, 2000000)"),
+    (lambda: ContractGenesis(operators=None), "ContractGenesis.operators must be a tuple, got None"),
+    (lambda: ConsensusConfig(Algorithm.CLIQUE, 5_000_000, validators=None),
+     "ConsensusConfig.validators must be a tuple, got None"),
+    (lambda: ConsensusConfig(Algorithm.CLIQUE, 5_000_000, validators=("a", "b")),
+     "ConsensusConfig.validators[0] must be an Address, got 'a'"),
 ], ids=["scenario_runs_str", "genesis_min_offers_str", "deployment_container_start_str",
         "scenario_float_split", "scenario_block_period_float", "agent_deposit_float",
         "scenario_seed_float", "scenario_runs_bool", "scenario_sweep_size_float",
         "scenario_sweep_not_a_tuple", "agent_tariff_str", "sla_penalty_float",
         "agent_abstain_str", "pricing_hour_float", "pricing_curve_none", "pricing_jitter_bool",
         "consensus_block_period_float", "consensus_algorithm_str", "scenario_agents_none",
-        "agent_deploy_model_none", "agent_pricing_dict", "agent_sla_tuple"])
+        "agent_deploy_model_none", "agent_pricing_dict", "agent_sla_tuple",
+        "genesis_operators_none", "consensus_validators_none", "consensus_validators_str"])
 def test_a_record_built_with_a_wrong_type_is_refused_naming_its_field(build, reason):
     """A value of the wrong type is refused as a bad value is, not left to
     raise TypeError later in a run or a digest."""
