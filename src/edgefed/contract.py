@@ -17,7 +17,8 @@ from enum import IntEnum
 
 from . import canonical
 from .ledger import Address, Block, StampedEvent
-from .units import ConfigInvalid, check_field_types, format_micro, ms_to_micro, to_micro
+from .units import (ConfigInvalid, check_field_types, check_non_negative, format_micro,
+                    ms_to_micro, to_micro)
 
 
 class ContractError(Exception):
@@ -91,6 +92,15 @@ class SlaTerms(canonical.Record):
     min_availability_micro: int  # fraction of 1.0 in millionths
     max_latency_us: int
     penalty_micro: int
+
+    def __post_init__(self):
+        check_field_types(self)
+        # Under AgentParams's rules a negative penalty would admit a negative
+        # deposit and balance, and each announcement would escrow it.
+        check_non_negative("agents.sla", penalty=self.penalty_micro,
+                           max_latency_ms=self.max_latency_us)
+        if not 0 <= self.min_availability_micro <= to_micro(1.0):
+            raise ConfigInvalid("agents.sla.min_availability must be in [0, 1]")
 
     @classmethod
     def from_floats(cls, min_availability: float, max_latency_ms: float, penalty: float) -> "SlaTerms":
@@ -413,20 +423,14 @@ def event_log_lines(stamped_events) -> list[dict]:
     lines = []
     for se in stamped_events:
         assert isinstance(se, StampedEvent)
-        payload = {
-            f.name: _jsonable(getattr(se.event, f.name))
-            for f in dataclasses.fields(se.event)
-            if f.name != "ann_id"
-        }
-        lines.append(
-            {
-                "block_height": se.block_height,
-                "finality_time_s": format_micro(se.finality_time_us),
-                "event_kind": type(se.event).__name__,
-                "ann_id": se.event.ann_id,
-                "payload": payload,
-            }
-        )
+        payload = _jsonable(se.event)
+        lines.append({
+            "block_height": se.block_height,
+            "finality_time_s": format_micro(se.finality_time_us),
+            "event_kind": type(se.event).__name__,
+            "ann_id": payload.pop("ann_id"),
+            "payload": payload,
+        })
     return lines
 
 

@@ -45,7 +45,7 @@ import json
 import math
 import os
 import random
-from dataclasses import fields, replace
+from dataclasses import replace
 from functools import partial
 
 from . import canonical
@@ -210,7 +210,6 @@ class AgentParams(canonical.Record):
 
     def __post_init__(self):
         check_field_types(self)
-        check_field_types(self.sla)
         check_non_negative("agents", attach_time_s=self.attach_time_us,
                            reaction_delay_s=self.reaction_delay_us, rtt_s=self.rtt_us)
         if not self.tariffs_micro:
@@ -231,22 +230,12 @@ class AgentParams(canonical.Record):
         if not 0 <= self.abstain_probability <= 1:
             # A probability: above 1 would read as 1 and below 0 as 0, silently.
             raise ConfigInvalid("agents.abstain_probability must be in [0, 1]")
-        sla = self.sla
-        # With the rules below, a negative penalty would admit a negative
-        # deposit and balance, and each announcement would escrow it.
-        check_non_negative("agents.sla", penalty=sla.penalty_micro,
-                           max_latency_ms=sla.max_latency_us)
-        if not 0 <= sla.min_availability_micro <= to_micro(1.0):
-            raise ConfigInvalid("agents.sla.min_availability must be in [0, 1]")
         if self.genesis_balance_micro < self.deposit_micro:
             # The contract would reject every announcement as InsufficientBalance.
             raise ConfigInvalid("agents.genesis_balance must be at least agents.announce_deposit")
         if self.deposit_micro < self.sla.penalty_micro:
             # The contract would reject every announcement as DepositBelowPenalty.
             raise ConfigInvalid("agents.announce_deposit must be at least agents.sla.penalty")
-
-
-_AGENTS = AgentParams()  # the defaults: a slotted record's class holds none
 
 
 @canonical.record
@@ -260,7 +249,7 @@ class ScenarioConfig(canonical.Record):
     block_period_us: int = to_micro(5.0)
     message_delay_us: int = to_micro(0.05)
     validation_cost_us: int = to_micro(0.05)
-    agents: AgentParams = _AGENTS
+    agents: AgentParams = AgentParams()
     runs: int = 20
     seed: int = 1
     concurrency_mode: str = MODE_ALL
@@ -355,12 +344,13 @@ def _list_of(read_item):
 
 
 def _section(value, where: str, table: dict) -> dict:
-    """The dataclass arguments that the JSON object `value` sets.
+    """The values the JSON object `value` sets, by dotted field path; it only reads.
 
-    `table` maps each key the object may hold to (field, reader) or, for a
-    nested object whose keys are fields of the same dataclass, to that
-    object's table. A key the object leaves out gives no argument, so its
-    field keeps the dataclass default. Any other key is rejected.
+    `table` maps each key the object may hold to (field path, reader) or, for
+    a nested object, to that object's table. A path names a field of
+    `ScenarioConfig` or of a record it holds, as `agents.sla.penalty_micro`
+    does. A key the object leaves out gives no value, so its field keeps its
+    default. Any other key is rejected.
     """
     name = where or "scenario document"
     if not isinstance(value, dict):
@@ -378,15 +368,19 @@ def _section(value, where: str, table: dict) -> dict:
     return args
 
 
-def _object(build, table):
-    """Reader of a nested JSON object: `build` called with its arguments."""
-    return lambda value, where: build(**_section(value, where, table))
-
-
-def _agent_params(**args) -> AgentParams:
-    # The pricing keys sit in the agents object itself.
-    pricing = {f.name: args.pop(f.name) for f in fields(PricingContext) if f.name in args}
-    return AgentParams(pricing=replace(_AGENTS.pricing, **pricing), **args)
+def _replaced(record, values: dict):
+    """`record` with each dotted field path in `values` set to its value.
+    The records it holds are replaced first, so their rules run before its own."""
+    own, inner = {}, {}
+    for path, value in values.items():
+        name, _, rest = path.partition(".")
+        if rest:
+            inner.setdefault(name, {})[rest] = value
+        else:
+            own[name] = value
+    for name, sub in inner.items():
+        own[name] = _replaced(getattr(record, name), sub)
+    return replace(record, **own)
 
 
 # The scenario document's schema, in the table form `_section` reads.
@@ -399,28 +393,28 @@ _SCHEMA = {
         "message_delay_s": ("message_delay_us", _micro),
         "validation_cost_s": ("validation_cost_us", _micro),
     },
-    "agents": ("agents", _object(_agent_params, {
-        "deployment": ("deploy_model", _object(DeploymentModel, {
-            "container_start_s": ("container_start_us", _micro),
-            "vxlan_setup_s": ("vxlan_setup_us", _micro),
-            "confirm_overhead_s": ("confirm_overhead_us", _micro),
-        })),
-        "attach_time_s": ("attach_time_us", _micro),
-        "reaction_delay_s": ("reaction_delay_us", _micro),
-        "rtt_s": ("rtt_us", _micro),
-        "tariffs": ("tariffs_micro", _list_of(_micro)),
-        "time_factor_curve": ("time_factor_curve", _list_of(_real)),
-        "hour_of_day": ("hour_of_day", _integer),
-        "jitter_fraction": ("jitter_fraction", _real),
-        "abstain_probability": ("abstain_probability", _real),
-        "announce_deposit": ("deposit_micro", _micro),
-        "sla": ("sla", _object(partial(replace, _AGENTS.sla), {
-            "min_availability": ("min_availability_micro", _micro),
-            "max_latency_ms": ("max_latency_us", _number(ms_to_micro)),
-            "penalty": ("penalty_micro", _micro),
-        })),
-        "genesis_balance": ("genesis_balance_micro", _micro),
-    })),
+    "agents": {
+        "deployment": {
+            "container_start_s": ("agents.deploy_model.container_start_us", _micro),
+            "vxlan_setup_s": ("agents.deploy_model.vxlan_setup_us", _micro),
+            "confirm_overhead_s": ("agents.deploy_model.confirm_overhead_us", _micro),
+        },
+        "attach_time_s": ("agents.attach_time_us", _micro),
+        "reaction_delay_s": ("agents.reaction_delay_us", _micro),
+        "rtt_s": ("agents.rtt_us", _micro),
+        "tariffs": ("agents.tariffs_micro", _list_of(_micro)),
+        "time_factor_curve": ("agents.pricing.time_factor_curve", _list_of(_real)),
+        "hour_of_day": ("agents.pricing.hour_of_day", _integer),
+        "jitter_fraction": ("agents.pricing.jitter_fraction", _real),
+        "abstain_probability": ("agents.abstain_probability", _real),
+        "announce_deposit": ("agents.deposit_micro", _micro),
+        "sla": {
+            "min_availability": ("agents.sla.min_availability_micro", _micro),
+            "max_latency_ms": ("agents.sla.max_latency_us", _number(ms_to_micro)),
+            "penalty": ("agents.sla.penalty_micro", _micro),
+        },
+        "genesis_balance": ("agents.genesis_balance_micro", _micro),
+    },
     "runs": ("runs", _integer),
     "seed": ("seed", _integer),
     "concurrency_mode": ("concurrency_mode", _as_is),
@@ -434,8 +428,8 @@ _SCHEMA = {
 
 
 def parse_config(data: dict, scenario_id: str = "scenario") -> ScenarioConfig:
-    """Validate a scenario document against _SCHEMA; unknown keys are
-    rejected outright. A field the document leaves out keeps its default."""
+    """Validate a scenario document against _SCHEMA, reading all of it before
+    any record is built; a field the document leaves out keeps its default."""
     args = {"scenario_id": scenario_id, **_section(data, "", _SCHEMA)}
     split = args.pop("split", None)  # not a field: it sets consumers and providers
     if split is None and "n_systems" in args:
@@ -445,7 +439,7 @@ def parse_config(data: dict, scenario_id: str = "scenario") -> ScenarioConfig:
             raise ConfigInvalid("topology.split must be [consumers, providers]")
         args["consumers"], args["providers"] = split
         args.setdefault("n_systems", sum(split))
-    return ScenarioConfig(**args)
+    return _replaced(ScenarioConfig(), args)
 
 
 def load_config(path) -> ScenarioConfig:

@@ -21,7 +21,7 @@ class ConfigInvalid(ValueError):
 
 
 _KINDS = {int: ((int,), "an int"), float: ((int, float), "a number"),
-          tuple: ((tuple, list), "a tuple")}
+          tuple: ((tuple,), "a tuple")}
 
 
 def _kind(kind):
@@ -56,15 +56,15 @@ def check_field_types(record) -> None:
     """Refuse the first field of the dataclass `record` whose value is not of
     its declared kind, named as the record's type and field. An `int` field
     takes an int and a `float` field an int or float, never a bool, as in a
-    document; a `tuple` field takes a tuple or list, and a `tuple[X, ...]`
-    field one of items of kind X. A field declared as an `Enum`, dataclass
-    or `bytes` subclass (an `Address`), or as `X | None` of one of these
-    kinds, takes an instance of it (or None). Other fields are left to the
-    record's own rules."""
+    document; a `tuple` field takes a tuple, never a list, and a
+    `tuple[X, ...]` field one of items of kind X. A field declared as an
+    `Enum`, dataclass or `bytes` subclass (an `Address`), or as `X | None`
+    of one of these kinds, takes an instance of it (or None). Other fields
+    are left to the record's own rules."""
     for name, accepted, what, many in _checks(type(record)):
         value = getattr(record, name)
         where = f"{type(record).__name__}.{name}"
-        if many and not isinstance(value, (tuple, list)):
+        if many and not isinstance(value, tuple):
             raise ConfigInvalid(f"{where} must be a tuple, got {value!r}")
         for i, item in enumerate(value if many else (value,)):
             if isinstance(item, bool) or not isinstance(item, accepted):

@@ -370,6 +370,12 @@ class TestBadConfigExits1:
          "over the limit of 10,000,000"),
         ({"sweep": {"n_systems": [30, 20000]}},
          "sweep.n_systems=20000 makes 64,064,000 transactions a run, over the limit of 10,000,000"),
+        # Of several bad values, one that cannot be read is reported first, and
+        # then an inner record's rule before an outer record's.
+        ({"agents": {"jitter_fraction": 1.5}, "scenario_timeout_s": True},
+         "scenario_timeout_s must be a finite number"),
+        ({"agents": {"abstain_probability": 2, "sla": {"penalty": -3}}},
+         "agents.sla.penalty must be non-negative"),
     ], ids=["negative_container_start", "non_numeric_tariff", "jitter_above_one",
             "negative_timeout", "boolean_runs", "sweep_below_two_systems",
             "negative_reaction_delay", "negative_message_delay",
@@ -393,7 +399,8 @@ class TestBadConfigExits1:
             "max_latency_rounding_to_zero", "zero_block_period", "negative_validation_cost",
             "one_system", "unknown_algorithm", "unknown_sweep_variant",
             "unknown_concurrency_mode", "runs_beyond_the_work_limit_of_a_cell",
-            "n_systems_beyond_the_work_limit_of_a_run", "sweep_beyond_the_work_limit_of_a_run"])
+            "n_systems_beyond_the_work_limit_of_a_run", "sweep_beyond_the_work_limit_of_a_run",
+            "unreadable_value_before_a_range_rule", "inner_record_rule_before_outer"])
     def test_rejected_in_parsing_with_one_line_reason(self, tmp_path, capsys, overrides, reason):
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "out"

@@ -20,6 +20,7 @@ from edgefed.contract import (
     FederationClosed,
     FederationContract,
     ServiceAnnounced,
+    SlaTerms,
 )
 from edgefed.ledger import Address, Algorithm, ConsensusConfig, block_digest
 from edgefed.metrics import read_csv, write_csv
@@ -46,6 +47,8 @@ from edgefed.simkernel import (
 from edgefed.units import check_field_types, to_micro
 
 from conftest import scenario
+
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestEventQueue:
@@ -630,6 +633,11 @@ class TestConfigParsing:
         assert sweep.sweep_n == (2, 10, 15, 25, 30)
         assert sweep.sweep_variants == ("clique", "qbft", "soa")
 
+    @pytest.mark.parametrize("name", sorted(p.name for p in _CONFIGS.glob("*.json")))
+    def test_a_bundled_config_hashes_and_equals_a_second_load_of_itself(self, name):
+        first, second = load_config(_CONFIGS / name), load_config(_CONFIGS / name)
+        assert first == second and hash(first) == hash(second)
+
     def test_timeout_and_modes(self):
         cfg = parse_config({"concurrency_mode": "single", "scenario_timeout_s": 10.0})
         assert cfg.concurrency_mode == MODE_SINGLE
@@ -641,6 +649,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigInvalid, match="agents.hour_of_day must be in 0..23") as caught:
             parse_config({"agents": {"hour_of_day": 24}})
         assert caught.value.__cause__ is None and caught.value.__context__ is None
+
+    def test_a_value_that_cannot_be_read_is_reported_before_any_range_rule(self):
+        # The agents object comes first, but no record is built until the
+        # whole document has been read.
+        with pytest.raises(ConfigInvalid, match="^runs must be an integer$"):
+            parse_config({"agents": {"jitter_fraction": 1.5}, "runs": True})
 
     def test_ranges_apply_to_the_rounded_value(self):
         cfg = parse_config({"agents": {"sla": {"min_availability": 1.0000004}}})
@@ -685,9 +699,14 @@ _FOUR_VALIDATORS = tuple(Address.derive("validator", i) for i in range(4))
      "consensus.message_delay_s must be non-negative"),
     (lambda: ContractGenesis(min_offers=0), "min_offers must be at least 1, got 0"),
     (lambda: generate_topology(1), "topology.n_systems must be at least 2, got 1"),
+    (lambda: SlaTerms(990_000, 50_000, -1), "agents.sla.penalty must be non-negative"),
+    (lambda: SlaTerms(990_000, -1, 2_000_000), "agents.sla.max_latency_ms must be non-negative"),
+    (lambda: SlaTerms(1_000_001, 50_000, 2_000_000),
+     "agents.sla.min_availability must be in [0, 1]"),
 ], ids=["scenario_timeout", "scenario_block_period", "agent_reaction_delay", "pricing_hour",
         "deployment_vxlan_setup", "consensus_block_period", "consensus_negative_message_delay",
-        "genesis_min_offers", "topology_one_system"])
+        "genesis_min_offers", "topology_one_system", "sla_negative_penalty",
+        "sla_negative_max_latency", "sla_availability_above_one"])
 def test_each_config_record_refuses_a_bad_value_with_one_exception_type(build, reason):
     """A library caller building a record directly is refused as a document is:
     by `ConfigInvalid`, which is a `ValueError`."""
@@ -738,6 +757,13 @@ def test_each_config_record_refuses_a_bad_value_with_one_exception_type(build, r
      "ConsensusConfig.validators must be a tuple, got None"),
     (lambda: ConsensusConfig(Algorithm.CLIQUE, 5_000_000, validators=("a", "b")),
      "ConsensusConfig.validators[0] must be an Address, got 'a'"),
+    (lambda: ScenarioConfig(sweep_n=[2, 10]), "ScenarioConfig.sweep_n must be a tuple, got [2, 10]"),
+    (lambda: ScenarioConfig(sweep_variants=["clique"]),
+     "ScenarioConfig.sweep_variants must be a tuple, got ['clique']"),
+    (lambda: ContractGenesis(operators=[]), "ContractGenesis.operators must be a tuple, got []"),
+    (lambda: AgentParams(tariffs_micro=[100_000]),
+     "AgentParams.tariffs_micro must be a tuple, got [100000]"),
+    (lambda: SlaTerms(990_000, 50_000, 2.5e6), "SlaTerms.penalty_micro must be an int, got 2500000.0"),
 ], ids=["scenario_runs_str", "genesis_min_offers_str", "deployment_container_start_str",
         "scenario_float_split", "scenario_block_period_float", "agent_deposit_float",
         "scenario_seed_float", "scenario_runs_bool", "scenario_sweep_size_float",
@@ -745,7 +771,9 @@ def test_each_config_record_refuses_a_bad_value_with_one_exception_type(build, r
         "agent_abstain_str", "pricing_hour_float", "pricing_curve_none", "pricing_jitter_bool",
         "consensus_block_period_float", "consensus_algorithm_str", "scenario_agents_none",
         "agent_deploy_model_none", "agent_pricing_dict", "agent_sla_tuple",
-        "genesis_operators_none", "consensus_validators_none", "consensus_validators_str"])
+        "genesis_operators_none", "consensus_validators_none", "consensus_validators_str",
+        "scenario_sweep_list", "scenario_sweep_variants_list", "genesis_operators_list",
+        "agent_tariffs_list", "sla_built_with_float_penalty"])
 def test_a_record_built_with_a_wrong_type_is_refused_naming_its_field(build, reason):
     """A value of the wrong type is refused as a bad value is, not left to
     raise TypeError later in a run or a digest."""
