@@ -14,7 +14,9 @@ now_us)` and a provider's `price()` for the run. Each reaction schedules
 `partial(submit, address, call, t)` to fire at its submit instant t, or, for
 a deployment, `start_deployment` at the instant it starts. A consumer's
 profile holds its announcement call, built once per scenario; the kernel
-schedules `announce(now_us)`, which submits it at once.
+schedules `announce(now_us)`, which submits it at once. Every other call is
+made once per transaction, so it is built by its record's constructor
+directly, `X.__new__(X, ...)`, past the class call (`canonical.record`).
 """
 
 from functools import partial
@@ -165,7 +167,7 @@ class ProviderAgent:
         react_us = observed_us + self.reaction_us
         kind = type(event)
         if kind is ServiceAnnounced:
-            bid = PlaceBid(event.ann_id, self.price())
+            bid = PlaceBid.__new__(PlaceBid, event.ann_id, self.price())
             self.schedule(react_us, partial(self.submit, self.profile.address, bid, react_us))
         elif kind is ProviderChosen:
             self.schedule(react_us, partial(self.start_deployment, event.ann_id, react_us))
@@ -173,7 +175,7 @@ class ProviderAgent:
     def start_deployment(self, ann_id: int, now_us: int) -> None:
         job = self.queue.enqueue(ann_id, now_us)
         endpoint = OverlayEndpoint(ip=f"10.200.{ann_id % 250}.2", udp_port=4789, vni=1000 + ann_id)
-        confirm = ConfirmDeployment(ann_id=ann_id, provider_endpoint=endpoint)
+        confirm = ConfirmDeployment.__new__(ConfirmDeployment, ann_id, endpoint)
         submit_us = job.confirm_submitted_us
         self.schedule(submit_us, partial(self.submit, self.profile.address, confirm, submit_us))
 
@@ -200,12 +202,13 @@ class ConsumerAgent:
     def handle(self, event, observed_us: int) -> None:
         if isinstance(event, BidPlaced):
             choose_us = observed_us + self.reaction_us
-            self.schedule(choose_us, partial(self.submit, self.profile.address,
-                                             ChooseProvider(ann_id=event.ann_id), choose_us))
+            choose = ChooseProvider.__new__(ChooseProvider, event.ann_id)
+            self.schedule(choose_us, partial(self.submit, self.profile.address, choose, choose_us))
         elif isinstance(event, DeploymentConfirmed):
             established = observed_us + self.profile.attach_time_us
-            self.schedule(established, partial(self.submit, self.profile.address,
-                                               CloseFederation(ann_id=event.ann_id), established))
+            close = CloseFederation.__new__(CloseFederation, event.ann_id)
+            self.schedule(established,
+                          partial(self.submit, self.profile.address, close, established))
 
 
 def soa_federate(consumer: ConsumerProfile, providers, rtt_us: int, prices, run: int,

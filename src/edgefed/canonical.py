@@ -20,7 +20,13 @@ digest.
 Every immutable record of the package derives from `Record` and is declared
 through `record`, one way: slotted, frozen, equal and hashed by value,
 printed field by field, and built by the one constructor `record` compiles,
-which fills each slot directly. It stays a dataclass (`fields`, `replace`).
+its `__new__`. That fills a new instance of a private twin subclass, which
+takes assignment as `object` does, by plain attribute stores into the slots,
+then re-classes it as the record. `X(...)` and `X.__new__(X, ...)` run the
+same code; the records a run makes once per transaction are built the
+second way, past the class-call protocol. A record has no `__init__`, so
+patching one intercepts no construction. It stays a dataclass (`fields`,
+`replace`).
 Its equality, hashing, refusal of assignment, pickling and repr are written
 once here and read a record's fields through one `attrgetter` per class,
 where `dataclass` would compile each for each class when the package is
@@ -185,11 +191,13 @@ def _rebuilt(cls, values):
 def record(cls):
     """Class decorator for a subclass of `Record`: a slotted dataclass for
     which `dataclass` generates no method, and whose one compiled method is
-    its constructor. That takes each field positionally or by keyword, in
-    field order, with the field's default if it has one, stores it through
-    its slot, the member descriptor's `__set__`, then calls `__post_init__`
-    if the class has one. Every field is compared, hashed and printed, so a
-    field option other than a plain default is refused."""
+    its constructor, `__new__`. That takes each field positionally or by
+    keyword, in field order, with the field's default if it has one, stores
+    it by a plain attribute store into a new instance of a private twin of
+    the class that allows assignment, re-classes that instance as `cls`,
+    then calls `__post_init__` if the class has one. Every field is
+    compared, hashed and printed, so a field option other than a plain
+    default is refused."""
     if not issubclass(cls, Record):
         raise TypeError(f"record needs a subclass of canonical.Record, not {cls.__qualname__}")
     cls = dataclasses.dataclass(cls, init=False, repr=False, eq=False, slots=True)
@@ -200,16 +208,25 @@ def record(cls):
             raise TypeError(f"{cls.__qualname__}.{field.name} has a field option")
     get = attrgetter(*cls.__match_args__)
     cls._field_values = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
-    cls.__init__ = _constructor(cls, fields)
+    cls.__new__ = _constructor(cls, fields)
     return cls
 
 
 def _constructor(cls, fields):
-    """The generated `__init__` of the record class `cls`, compiled in a file
+    """The generated `__new__` of the record class `cls`, compiled in a file
     named after the class, so profiles and tracebacks tell the constructors
-    apart."""
-    namespace = {}
-    params, body = ["self"], []
+    apart. `X(...)` and `X.__new__(X, ...)` run it alike; the second skips
+    the class-call protocol, about 0.1 µs."""
+    # The twin has the class's layout, so an instance can change between the
+    # two. It takes object's own __setattr__ and __delattr__, both, or CPython
+    # keeps its slow attribute slot, and each field's slot member, so a
+    # descriptor later put on the class (Block.parent_digest) is passed by.
+    twin = type(f"_{cls.__name__}Twin", (cls,), {
+        "__slots__": (), "__setattr__": object.__setattr__, "__delattr__": object.__delattr__,
+        **{field.name: getattr(cls, field.name) for field in fields},
+    })
+    namespace = {"_new": object.__new__, "_twin": twin}
+    params, body = ["cls"], ["    self = _new(_twin)"]
     for field in fields:
         name = field.name
         if field.default is dataclasses.MISSING:
@@ -217,15 +234,16 @@ def _constructor(cls, fields):
         else:
             namespace[f"_default_{name}"] = field.default
             params.append(f"{name}=_default_{name}")
-        namespace[f"_set_{name}"] = getattr(cls, name).__set__  # the field's slot
-        body.append(f"    _set_{name}(self, {name})")
+        body.append(f"    self.{name} = {name}")
+    body.append("    self.__class__ = cls")
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()")
-    source = "\n".join([f"def __init__({', '.join(params)}):", *body])
+    body.append("    return self")
+    source = "\n".join([f"def __new__({', '.join(params)}):", *body])
     exec(compile(source, f"<canonical {cls.__module__}.{cls.__qualname__}>", "exec"), namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    return init
+    new = namespace["__new__"]
+    new.__qualname__ = f"{cls.__qualname__}.__new__"
+    return new
 
 
 def _written(obj) -> bytearray:

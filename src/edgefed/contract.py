@@ -243,8 +243,8 @@ class ContractGenesis(canonical.Record):
     selection threshold ChooseProvider enforces.
     """
 
-    operators: tuple = ()  # (Address, name) pairs
-    balances: tuple = ()  # (Address, micro) pairs
+    operators: tuple[tuple[Address, str], ...] = ()
+    balances: tuple[tuple[Address, int], ...] = ()  # micro units
     min_offers: int = 2
 
     def __post_init__(self):
@@ -289,6 +289,8 @@ class FederationContract:
         return self._HANDLERS.get(type(call), _unknown_call)(self, sender, call, height)
 
     # -- handlers ------------------------------------------------------------
+    # One event per applied call, so each is built by its record's
+    # constructor directly, `X.__new__(X, ...)`, past the class call.
 
     def _announce(self, sender, call: AnnounceService, height):
         if sender not in self.operators:
@@ -314,7 +316,7 @@ class FederationContract:
             escrow_micro=call.deposit_micro,
             sla=call.sla,
         )
-        return ServiceAnnounced(ann_id=ann_id, requirements=call.requirements)
+        return ServiceAnnounced.__new__(ServiceAnnounced, ann_id, call.requirements)
 
     def _bid(self, sender, call: PlaceBid, height):
         # One call per bid, the most of any: the record is read as in
@@ -333,7 +335,7 @@ class FederationContract:
         bids = record.bids
         bids[sender] = (call.price_micro, height, record.bid_seq)
         record.bid_seq += 1
-        return BidPlaced(ann_id, len(bids))
+        return BidPlaced.__new__(BidPlaced, ann_id, len(bids))
 
     def _choose(self, sender, call: ChooseProvider, height):
         record = self._record(call.ann_id)
@@ -348,7 +350,8 @@ class FederationContract:
         winner = select_winner(record.bids)
         record.winner = winner
         record.phase = Phase.PROVIDER_CHOSEN
-        return ProviderChosen(call.ann_id, winner, record.announcement.consumer_endpoint)
+        return ProviderChosen.__new__(ProviderChosen, call.ann_id, winner,
+                                      record.announcement.consumer_endpoint)
 
     def _confirm(self, sender, call: ConfirmDeployment, height):
         record = self._record(call.ann_id)
@@ -358,9 +361,8 @@ class FederationContract:
             raise NotWinner("only the selected provider confirms deployment")
         record.provider_endpoint = call.provider_endpoint
         record.phase = Phase.DEPLOYMENT_CONFIRMED
-        return DeploymentConfirmed(
-            ann_id=call.ann_id, provider_endpoint=call.provider_endpoint
-        )
+        return DeploymentConfirmed.__new__(DeploymentConfirmed, call.ann_id,
+                                           call.provider_endpoint)
 
     def _close(self, sender, call: CloseFederation, height):
         record = self._record(call.ann_id)
@@ -370,7 +372,7 @@ class FederationContract:
             raise WrongPhase(f"announcement {call.ann_id} is not confirmed")
         record.phase = Phase.CLOSED
         self.closed += 1
-        return FederationClosed(ann_id=call.ann_id)
+        return FederationClosed.__new__(FederationClosed, call.ann_id)
 
     _HANDLERS = {
         AnnounceService: _announce,

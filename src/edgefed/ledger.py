@@ -9,7 +9,8 @@ An `Address` is a 20-byte `bytes` subclass with no instance `__dict__`, so
 the nonces, operators, bids and agents keyed by it hash and compare in C;
 `canonical` writes it as a record of one field, its bytes. A run makes one
 transaction per bid; a `Transaction`, like every record here, is a
-slotted record built through its slots (`canonical.record`).
+slotted record (`canonical.record`), and `submit` builds it by calling its
+constructor directly, `Transaction.__new__`.
 
 A block's `parent_digest` is computed when it is first read and then cached
 in its slot; until then the slot holds the parent `Block`. So a run hashes
@@ -105,7 +106,7 @@ class ConsensusConfig(canonical.Record):
                 f"QBFT with {len(self.validators)} validators cannot tolerate "
                 "a Byzantine fault (needs 3f+1 >= 4)",
                 SmallValidatorSetWarning,
-                stacklevel=3,  # past the generated __init__, to its caller
+                stacklevel=3,  # past the generated __new__, to its caller
             )
 
 
@@ -151,7 +152,8 @@ def block_digest(block: Block) -> str:
 class _ParentDigest:
     """`Block.parent_digest`: the parent `Block` until first read, then its
     digest. Both are kept in the field's slot, whose member descriptor this
-    wraps; `__set__` stores through it, for a copy or an unpickled block."""
+    wraps; `__set__` stores through it, for a copy or an unpickled block.
+    The constructor stores into the slot itself."""
 
     def __init__(self, slot):
         self._get, self._set = slot.__get__, slot.__set__
@@ -230,7 +232,7 @@ class Ledger:
                 raise LedgerError("submit_time must not precede the last pending submission")
         nonce = self._next_nonce.get(sender, 0)
         self._next_nonce[sender] = nonce + 1
-        tx = Transaction(self._next_tx_id, sender, payload, now_us, nonce)
+        tx = Transaction.__new__(Transaction, self._next_tx_id, sender, payload, now_us, nonce)
         self._next_tx_id += 1
         mempool.append(tx)
         return tx

@@ -20,31 +20,47 @@ class ConfigInvalid(ValueError):
     """A scenario value that cannot be read or is out of range, named by its key."""
 
 
-_KINDS = {int: ((int,), "an int"), float: ((int, float), "a number"),
-          tuple: ((tuple,), "a tuple")}
+def _instance_of(accepted):
+    """A test that a value is an instance of `accepted` and not a bool (bool
+    has no subclasses, and isinstance is slow to refuse)."""
+    return lambda value: isinstance(value, accepted) and type(value) is not bool
+
+
+_KINDS = {int: (_instance_of(int), "an int"), float: (_instance_of((int, float)), "a number"),
+          tuple: (_instance_of(tuple), "a tuple")}
 
 
 def _kind(kind):
-    """(accepted types, their name) of a field declared as `kind`, or None
-    when `check_field_types` leaves the field to its record's own rules."""
+    """(a test of one value, the name of what it takes) for a field declared
+    as `kind`, or None when `check_field_types` leaves the field to its
+    record's own rules."""
     if kind in _KINDS:
         return _KINDS[kind]
     if isinstance(kind, types.UnionType) and kind.__args__[1:] == (type(None),):
-        accepted = _kind(kind.__args__[0])
-        return accepted and ((*accepted[0], type(None)), f"{accepted[1]} or None")
+        inner = _kind(kind.__args__[0])
+        return inner and ((lambda value: value is None or inner[0](value)), f"{inner[1]} or None")
+    if getattr(kind, "__origin__", None) is tuple and len(kind.__args__) == 2:
+        first, second = kind.__args__  # tuple[X, Y]: a pair
+        return (lambda value: type(value) is tuple and len(value) == 2
+                and isinstance(value[0], first) and isinstance(value[1], second)
+                and type(value[0]) is not bool and type(value[1]) is not bool), \
+            f"an ({first.__name__}, {second.__name__}) pair"
     if isinstance(kind, type) and (issubclass(kind, (Enum, bytes))
                                    or dataclasses.is_dataclass(kind)):
-        return (kind,), f"{'an' if kind.__name__[0] in 'AEIOU' else 'a'} {kind.__name__}"
+        name = f"{'an' if kind.__name__[0] in 'AEIOU' else 'a'} {kind.__name__}"
+        return _instance_of(kind), name
     return None
 
 
 @functools.cache
 def _checks(cls) -> tuple:
-    """(field name, accepted types, their name, whether a tuple of them) for
-    each field of the dataclass `cls` that `check_field_types` checks."""
+    """(field name, test of one value, what it takes, whether a tuple of
+    them) for each field of the dataclass `cls` that `check_field_types`
+    checks."""
     checks = []
     for f in dataclasses.fields(cls):
-        kind, many = f.type, getattr(f.type, "__origin__", None) is tuple
+        kind = f.type
+        many = getattr(kind, "__origin__", None) is tuple and kind.__args__[1:] == (...,)
         if many:
             kind = kind.__args__[0]
         if accepted := _kind(kind):
@@ -59,17 +75,19 @@ def check_field_types(record) -> None:
     document; a `tuple` field takes a tuple, never a list, and a
     `tuple[X, ...]` field one of items of kind X. A field declared as an
     `Enum`, dataclass or `bytes` subclass (an `Address`), or as `X | None`
-    of one of these kinds, takes an instance of it (or None). Other fields
-    are left to the record's own rules."""
-    for name, accepted, what, many in _checks(type(record)):
+    of one of these kinds, takes an instance of it (or None). A
+    `tuple[X, Y]` item, such as a `ContractGenesis` operator, takes a tuple
+    of an instance of X, then one of Y, never a bool. Other fields are left
+    to the record's own rules."""
+    for name, test, what, many in _checks(type(record)):
         value = getattr(record, name)
-        where = f"{type(record).__name__}.{name}"
         if many and not isinstance(value, tuple):
-            raise ConfigInvalid(f"{where} must be a tuple, got {value!r}")
-        for i, item in enumerate(value if many else (value,)):
-            if isinstance(item, bool) or not isinstance(item, accepted):
-                item_where = f"{where}[{i}]" if many else where
-                raise ConfigInvalid(f"{item_where} must be {what}, got {item!r}")
+            raise ConfigInvalid(f"{type(record).__name__}.{name} must be a tuple, got {value!r}")
+        items = value if many else (value,)
+        if not all(map(test, items)):  # then find the first refused, to name it
+            i, item = next((i, item) for i, item in enumerate(items) if not test(item))
+            where = f"{type(record).__name__}.{name}" + (f"[{i}]" if many else "")
+            raise ConfigInvalid(f"{where} must be {what}, got {item!r}")
 
 
 def check_non_negative(section: str, **values) -> None:

@@ -1,4 +1,6 @@
 import builtins
+import dataclasses
+import dis
 import os
 import pathlib
 import warnings
@@ -35,6 +37,29 @@ def qbft_config(validators, period_s=5.0, **kw) -> ConsensusConfig:
         validators=tuple(validators),
         **kw,
     )
+
+
+def assert_built_by_plain_stores(record) -> None:
+    """`record` has no `__dict__` and refuses assignment, and its class's one
+    constructor is the `__new__` `canonical.record` compiled for it: it
+    stores each field by a plain attribute store into an instance of a
+    subclass that takes them as `object` does, then re-classes it."""
+    cls = type(record)
+    assert not hasattr(record, "__dict__"), cls
+    names = [f.name for f in dataclasses.fields(cls)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, names[0], None)
+    assert "__init__" not in vars(cls), cls
+    new = vars(cls)["__new__"]
+    code = new.__code__
+    assert (code.co_name, code.co_filename) == \
+        ("__new__", f"<canonical {cls.__module__}.{cls.__qualname__}>"), cls
+    stores = [ins.argval for ins in dis.get_instructions(code) if ins.opname == "STORE_ATTR"]
+    assert stores == [*names, "__class__"], cls
+    assert set(code.co_names) <= {*names, "_new", "_twin", "__class__", "__post_init__"}, cls
+    twin = new.__globals__["_twin"]
+    assert twin.__bases__ == (cls,) and twin.__slots__ == (), cls
+    assert twin.__setattr__ is object.__setattr__ and twin.__delattr__ is object.__delattr__, cls
 
 
 def scenario(n=2, variant="clique", seed=7, runs=1, **kw) -> ScenarioConfig:

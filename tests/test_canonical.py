@@ -19,7 +19,7 @@ from edgefed.simkernel import run_once
 from perfbench.reference_edgefed import canonical as reference
 from perfbench.reference_edgefed import ledger as ref_ledger
 
-from conftest import scenario
+from conftest import assert_built_by_plain_stores, scenario
 
 
 class Color(Enum):
@@ -203,13 +203,13 @@ def test_a_duplicated_block_keeps_the_lazy_parent_digest_of_its_original(monkeyp
 
 
 def test_a_run_builds_no_bid_record_and_its_digest_writes_each_bid_as_one(monkeypatch):
-    built, init = [0], Bid.__init__
+    built, new = [0], Bid.__new__
 
-    def counting(self, *args, **kwargs):
+    def counting(cls, *args, **kwargs):
         built[0] += 1
-        init(self, *args, **kwargs)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(Bid, "__init__", counting)
+    monkeypatch.setattr(Bid, "__new__", counting)
     contract = run_once(scenario(n=30, seed=7), 0).contract
     assert built == [0]
     assert contract.state_digest() == STATE_DIGEST_N30
@@ -310,10 +310,12 @@ def test_block_digest_holds_about_one_copy_of_the_encoding():
 
 class TestSlotInit:
     def test_the_constructor_is_generated_and_named_after_its_class(self):
-        code = Slotted.__init__.__code__
-        assert code.co_name == "__init__"
+        code = Slotted.__new__.__code__
+        assert code.co_name == "__new__"
         assert code.co_filename == f"<canonical {__name__}.{Slotted.__qualname__}>"
+        assert Slotted.__new__.__qualname__ == f"{Slotted.__qualname__}.__new__"
         assert Twin.__init__.__code__.co_filename != code.co_filename
+        assert_built_by_plain_stores(Slotted(1, "a", Inner("x", 2)))
 
     def test_assignment_after_construction_raises(self):
         record = Slotted(1, "a", Inner("x", 2))
@@ -408,18 +410,6 @@ def _run_records(variant: str) -> list:
     return records
 
 
-def _built_through_its_slots(record) -> None:
-    cls = type(record)
-    assert not hasattr(record, "__dict__"), cls
-    name = fields(record)[0].name
-    with pytest.raises(FrozenInstanceError):
-        setattr(record, name, None)
-    code = cls.__init__.__code__
-    assert (code.co_name, code.co_filename) == \
-        ("__init__", f"<canonical {cls.__module__}.{cls.__qualname__}>"), cls
-    assert all(global_name.startswith("_set_") for global_name in code.co_names), cls
-
-
 def test_per_transaction_records_are_built_through_their_slots():
     # Every record a run makes once per transaction: calls, the events their
     # handlers return, and the transaction. A record type added later must
@@ -428,7 +418,33 @@ def test_per_transaction_records_are_built_through_their_slots():
     assert {*FederationContract._HANDLERS, Transaction} <= set(records)
     assert len(records) == 11
     for record in records.values():
-        _built_through_its_slots(record)
+        assert_built_by_plain_stores(record)
+
+
+def _reachable_classes(value, found: set) -> set:
+    """The classes of `value` and of every record and tuple item it holds."""
+    found.add(type(value))
+    if isinstance(value, canonical.Record):
+        for f in fields(value):
+            _reachable_classes(getattr(value, f.name), found)
+    elif isinstance(value, tuple):
+        for item in value:
+            _reachable_classes(item, found)
+    return found
+
+
+def test_no_constructor_twin_is_reachable_from_a_runs_records():
+    # The class each constructor fills before re-classing its instance is
+    # never the class of a record a run keeps: each is the class its module
+    # declares under its name.
+    found = set()
+    for variant in ("clique", "qbft"):
+        for record in _run_records(variant):
+            _reachable_classes(record, found)
+    records = {cls for cls in found if issubclass(cls, canonical.Record)}
+    assert len(records) >= 11
+    for cls in records:
+        assert vars(sys.modules[cls.__module__]).get(cls.__qualname__) is cls, cls
 
 
 _ENDPOINT = OverlayEndpoint("10.0.0.1", 4789, 100)
@@ -442,7 +458,7 @@ _ENDPOINT = OverlayEndpoint("10.0.0.1", 4789, 100)
 ], ids=lambda record: type(record).__name__)
 def test_per_federation_records_are_built_through_their_slots(record):
     # One of each per federation: its trace, an endpoint, its announcement.
-    _built_through_its_slots(record)
+    assert_built_by_plain_stores(record)
 
 
 def test_federation_trace_repr_is_pinned():

@@ -43,6 +43,9 @@ from edgefed.contract import (
 from edgefed.ledger import Address, Algorithm, Block, ConsensusConfig, StampedEvent, Transaction
 from edgefed.metrics import AggregateStats, FederationTrace, PhaseBreakdown, SegmentStats
 from edgefed.simkernel import AgentParams, Cell, Participants, RunResult, ScenarioConfig
+from edgefed.units import ConfigInvalid
+
+from conftest import assert_built_by_plain_stores
 
 
 def test_star_import_resolves_every_public_name():
@@ -166,13 +169,9 @@ def test_every_frozen_record_is_built_by_its_canonical_constructor():
     assert {name for name, record in SAMPLES.items() if _refuses_assignment(record)} == \
         set(DATACLASSES) - MUTABLE
     for record in FROZEN:
-        cls = type(record)
-        code = cls.__init__.__code__
-        assert code.co_filename == f"<canonical {cls.__module__}.{cls.__qualname__}>", cls
-        # Every field is stored through its slot, none through __dict__.
-        assert not hasattr(record, "__dict__"), cls
-        assert {name for name in code.co_names if not name.startswith("_set_")} <= \
-            {"__post_init__"}, cls
+        # Every field is stored by a plain attribute store into its slot,
+        # none into a __dict__.
+        assert_built_by_plain_stores(record)
 
 
 # Run in a fresh interpreter: each attribute of each class the package
@@ -206,8 +205,9 @@ def test_import_leaves_dataclasses_code_only_in_the_mutable_records_constructors
         {f"{name}.__init__" for name in MUTABLE}
     for record in FROZEN:
         cls = type(record)
-        assert found[f"{cls.__qualname__}.__init__"] == \
+        assert found[f"{cls.__qualname__}.__new__"] == \
             f"<canonical {cls.__module__}.{cls.__qualname__}>"
+        assert f"{cls.__qualname__}.__init__" not in found
 
 
 def test_which_classes_have_a_generated_repr_is_pinned():
@@ -246,6 +246,38 @@ def test_a_frozen_record_is_copied_pickled_and_replaced_whole(record):
                    pickle.loads(pickle.dumps(record)), dataclasses.replace(record)):
         assert type(copied) is type(record) and _values(copied) == _values(record)
         assert copied == record
+
+
+def _routes(record) -> dict:
+    """`record` built again by each way there is to build or duplicate one."""
+    cls, values = type(record), _values(record)
+    return {
+        "positional": cls(*values),
+        "keyword": cls(**{f.name: getattr(record, f.name) for f in dataclasses.fields(record)}),
+        "direct": cls.__new__(cls, *values),
+        "replace": dataclasses.replace(record),
+        "copy": copy.copy(record),
+        "deepcopy": copy.deepcopy(record),
+        "pickle": pickle.loads(pickle.dumps(record)),
+    }
+
+
+@pytest.mark.parametrize("record", FROZEN, ids=_ids)
+def test_every_route_to_a_record_gives_a_frozen_instance_of_exactly_its_class(record):
+    name = dataclasses.fields(record)[0].name
+    for route, built in _routes(record).items():
+        assert type(built) is type(record), route
+        assert built == record, route
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(built, name, getattr(record, name))
+
+
+def test_a_post_init_refusal_is_raised_by_the_class_call_and_the_direct_call():
+    reason = "^SlaTerms.penalty_micro must be an int, got 2500000.0$"
+    with pytest.raises(ConfigInvalid, match=reason):
+        SlaTerms(990_000, 50_000, 2.5e6)
+    with pytest.raises(ConfigInvalid, match=reason):
+        SlaTerms.__new__(SlaTerms, 990_000, 50_000, 2.5e6)
 
 
 @pytest.mark.parametrize("record", FROZEN, ids=_ids)

@@ -764,6 +764,18 @@ def test_each_config_record_refuses_a_bad_value_with_one_exception_type(build, r
     (lambda: AgentParams(tariffs_micro=[100_000]),
      "AgentParams.tariffs_micro must be a tuple, got [100000]"),
     (lambda: SlaTerms(990_000, 50_000, 2.5e6), "SlaTerms.penalty_micro must be an int, got 2500000.0"),
+    (lambda: ContractGenesis(balances=((_FOUR_VALIDATORS[0], 1.5),)),
+     f"ContractGenesis.balances[0] must be an (Address, int) pair, got ({_FOUR_VALIDATORS[0]!r}, 1.5)"),
+    (lambda: ContractGenesis(balances=((_FOUR_VALIDATORS[0], 10), (_FOUR_VALIDATORS[1], True))),
+     f"ContractGenesis.balances[1] must be an (Address, int) pair, got ({_FOUR_VALIDATORS[1]!r}, True)"),
+    (lambda: ContractGenesis(operators=(("a", "m"),)),
+     "ContractGenesis.operators[0] must be an (Address, str) pair, got ('a', 'm')"),
+    (lambda: ContractGenesis(operators=((_FOUR_VALIDATORS[0], 5),)),
+     f"ContractGenesis.operators[0] must be an (Address, str) pair, got ({_FOUR_VALIDATORS[0]!r}, 5)"),
+    (lambda: ContractGenesis(operators=([_FOUR_VALIDATORS[0], "m"],)),
+     f"ContractGenesis.operators[0] must be an (Address, str) pair, got [{_FOUR_VALIDATORS[0]!r}, 'm']"),
+    (lambda: ContractGenesis(balances=((_FOUR_VALIDATORS[0], 10, 0),)),
+     f"ContractGenesis.balances[0] must be an (Address, int) pair, got ({_FOUR_VALIDATORS[0]!r}, 10, 0)"),
 ], ids=["scenario_runs_str", "genesis_min_offers_str", "deployment_container_start_str",
         "scenario_float_split", "scenario_block_period_float", "agent_deposit_float",
         "scenario_seed_float", "scenario_runs_bool", "scenario_sweep_size_float",
@@ -773,7 +785,9 @@ def test_each_config_record_refuses_a_bad_value_with_one_exception_type(build, r
         "agent_deploy_model_none", "agent_pricing_dict", "agent_sla_tuple",
         "genesis_operators_none", "consensus_validators_none", "consensus_validators_str",
         "scenario_sweep_list", "scenario_sweep_variants_list", "genesis_operators_list",
-        "agent_tariffs_list", "sla_built_with_float_penalty"])
+        "agent_tariffs_list", "sla_built_with_float_penalty", "genesis_balance_float",
+        "genesis_balance_bool", "genesis_operator_str_address", "genesis_operator_int_name",
+        "genesis_operator_list_pair", "genesis_balance_triple"])
 def test_a_record_built_with_a_wrong_type_is_refused_naming_its_field(build, reason):
     """A value of the wrong type is refused as a bad value is, not left to
     raise TypeError later in a run or a digest."""
