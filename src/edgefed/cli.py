@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -85,7 +86,13 @@ def _print_summary(cfg, stats) -> None:
 
 
 def _run_cell(cfg, out_dir: Path):
-    traces = simkernel.run_scenario(cfg)
+    """Run one cell and write its files. Each warning the run raises is
+    printed as one line naming the cell, not in Python's own format."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        traces = simkernel.run_scenario(cfg)
+    for warning in caught:
+        print(f"warning: {cfg.variant} N={cfg.n_systems}: {warning.message}", file=sys.stderr)
     cell = (cfg.scenario_id, cfg.variant, cfg.n_systems)
     for write, suffix in ((metrics.write_csv, "csv"), (metrics.write_jsonl, "jsonl")):
         write(traces, out_dir / metrics.cell_filename(*cell, suffix), *cell)
@@ -129,7 +136,7 @@ def _cmd_sweep(args) -> int:
             except metrics.NoCompleteTraces:
                 print(f"cell ({variant}, N={n}): no complete traces", file=sys.stderr)
                 exit_code = EXIT_CONFIG
-                continue
+                stats = metrics.AggregateStats(segments={}, n_samples=0, n_incomplete=len(traces))
             summary_rows.append((variant, n, stats))
     _write_sweep_summary(base, out_dir, summary_rows)
     _print_sweep_table(summary_rows)
@@ -144,8 +151,11 @@ def _write_sweep_summary(base, out_dir: Path, summary_rows) -> None:
     lines = [",".join(header)]
     for variant, n, stats in summary_rows:
         row = [variant, str(n), str(stats.n_samples), str(stats.n_incomplete)]
-        row += [f"{stats.segments[name].mean_s:.6f}" for name in metrics.SEGMENTS]
-        row += [f"{stats.segments['total'].variance_s2:.6f}"]
+        if stats.n_samples:
+            row += [f"{stats.segments[name].mean_s:.6f}" for name in metrics.SEGMENTS]
+            row += [f"{stats.segments['total'].variance_s2:.6f}"]
+        else:  # empty, as the trace files leave an incomplete row's segments
+            row += [""] * (len(metrics.SEGMENTS) + 1)
         lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
@@ -153,6 +163,8 @@ def _write_sweep_summary(base, out_dir: Path, summary_rows) -> None:
 def _print_sweep_table(summary_rows) -> None:
     print(f"{'variant':<10}{'n':>4}{'total_mean_s':>14}{'total_var_s2':>14}{'samples':>9}")
     for variant, n, stats in summary_rows:
+        if not stats.n_samples:
+            continue
         total = stats.segments["total"]
         print(
             f"{variant:<10}{n:>4}{total.mean_s:>14.6f}{total.variance_s2:>14.6f}"

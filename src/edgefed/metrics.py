@@ -48,20 +48,8 @@ SEGMENTS = (
     "total",
 )
 
-CSV_COLUMNS = (
-    "scenario_id",
-    "consensus",
-    "n_systems",
-    "run",
-    "ann_id",
-    "bidding_s",
-    "winner_selection_s",
-    "info_exchange_s",
-    "deployment_s",
-    "confirmation_s",
-    "total_s",
-    "complete",
-)
+CSV_COLUMNS = ("scenario_id", "consensus", "n_systems", "run", "ann_id",
+               *(f"{name}_s" for name in SEGMENTS), "complete")
 
 
 @canonical.record
@@ -319,4 +307,4 @@ def _mean_total_s(rows, source: str, n: int) -> float:
     totals = [r["total"] for r in rows if r["complete"]]
     if not totals:
         raise NoCompleteTraces(f"the {source} input has no complete trace at n_systems={n}")
-    return sum(totals) / len(totals) / MICRO
+    return _stats(totals).mean_s

@@ -456,24 +456,17 @@ def load_config(path) -> ScenarioConfig:
 # -- participants ---------------------------------------------------------------
 
 
-@canonical.record
-class Participants(canonical.Record):
-    """Addresses are seed-derived and role lists are address-sorted so the
-    ledger's (submit time, sender) ordering is stable per seed."""
-
-    consumers: tuple
-    providers: tuple
-    bootstrap: Address
-
-
-def build_participants(cfg: ScenarioConfig) -> Participants:
+def build_participants(cfg: ScenarioConfig) -> tuple:
+    """(consumers, providers, bootstrap): addresses are seed-derived and the
+    role tuples address-sorted, so the ledger's (submit time, sender)
+    ordering is stable per seed."""
     derive, seed = Address.derive, cfg.seed
     consumers = sorted(derive("edgefed", seed, "consumer", i) for i in range(cfg.consumers))
     providers = sorted(derive("edgefed", seed, "provider", j) for j in range(cfg.providers))
-    return Participants(tuple(consumers), tuple(providers), derive("edgefed", seed, "bootstrap"))
+    return tuple(consumers), tuple(providers), derive("edgefed", seed, "bootstrap")
 
 
-def build_profiles(cfg: ScenarioConfig, participants: Participants):
+def build_profiles(cfg: ScenarioConfig, consumers: tuple, providers: tuple):
     a = cfg.agents
     consumer_profiles = tuple(
         ConsumerProfile(
@@ -486,7 +479,7 @@ def build_profiles(cfg: ScenarioConfig, participants: Participants):
             ),
             attach_time_us=a.attach_time_us,
         )
-        for i, addr in enumerate(participants.consumers)
+        for i, addr in enumerate(consumers)
     )
     provider_profiles = tuple(
         ProviderProfile(
@@ -494,20 +487,19 @@ def build_profiles(cfg: ScenarioConfig, participants: Participants):
             base_tariff_micro=a.tariffs_micro[j % len(a.tariffs_micro)],
             deploy_model=a.deploy_model,
         )
-        for j, addr in enumerate(participants.providers)
+        for j, addr in enumerate(providers)
     )
     return consumer_profiles, provider_profiles
 
 
-def build_genesis(cfg: ScenarioConfig, participants: Participants) -> ContractGenesis:
+def build_genesis(cfg: ScenarioConfig, consumers: tuple, providers: tuple,
+                  bootstrap: Address) -> ContractGenesis:
     operators = (
-        [(addr, f"mec-c{i}") for i, addr in enumerate(participants.consumers)]
-        + [(addr, f"mec-p{j}") for j, addr in enumerate(participants.providers)]
-        + [(participants.bootstrap, "bootstrap")]
+        [(addr, f"mec-c{i}") for i, addr in enumerate(consumers)]
+        + [(addr, f"mec-p{j}") for j, addr in enumerate(providers)]
+        + [(bootstrap, "bootstrap")]
     )
-    balances = tuple(
-        (addr, cfg.agents.genesis_balance_micro) for addr in participants.consumers
-    )
+    balances = tuple((addr, cfg.agents.genesis_balance_micro) for addr in consumers)
     return ContractGenesis(
         operators=tuple(operators),
         balances=balances,
@@ -515,13 +507,13 @@ def build_genesis(cfg: ScenarioConfig, participants: Participants) -> ContractGe
     )
 
 
-def build_consensus(cfg: ScenarioConfig, participants: Participants) -> ConsensusConfig:
+def build_consensus(cfg: ScenarioConfig, providers: tuple, bootstrap: Address) -> ConsensusConfig:
     return ConsensusConfig(
         algorithm=Algorithm.QBFT if cfg.variant == "qbft" else Algorithm.CLIQUE,
         block_period_us=cfg.block_period_us,
         message_delay_us=cfg.message_delay_us,
         validation_cost_us=cfg.validation_cost_us,
-        validators=tuple(participants.providers) + (participants.bootstrap,),
+        validators=providers + (bootstrap,),
     )
 
 
@@ -539,12 +531,13 @@ class Cell(canonical.Record):
 
 
 def build_cell(cfg: ScenarioConfig) -> Cell:
-    participants = build_participants(cfg)
-    consumer_profiles, provider_profiles = build_profiles(cfg, participants)
+    consumers, providers, bootstrap = build_participants(cfg)
+    consumer_profiles, provider_profiles = build_profiles(cfg, consumers, providers)
     if cfg.variant == "soa":
         return Cell(consumer_profiles, provider_profiles)
     return Cell(consumer_profiles, provider_profiles,
-                build_genesis(cfg, participants), build_consensus(cfg, participants))
+                build_genesis(cfg, consumers, providers, bootstrap),
+                build_consensus(cfg, providers, bootstrap))
 
 
 # -- run execution -----------------------------------------------------------------
@@ -578,9 +571,8 @@ class _ChainRun:
     def __init__(self, cfg: ScenarioConfig, run_index: int, cell: Cell):
         self.cfg = cfg
         self.run_index = run_index
-        self.genesis = cell.genesis
         self.ledger = Ledger(cell.consensus)
-        self.contract = FederationContract(self.genesis)
+        self.contract = FederationContract(cell.genesis)
         self.kernel = EventQueue()
         self.published = []
         schedule, submit = self.kernel.schedule, self.ledger.submit
@@ -635,7 +627,7 @@ class _ChainRun:
                 run_index=self.run_index,
                 traces=self._traces(),
                 blocks=tuple(self.ledger.chain),
-                genesis=self.genesis,
+                genesis=self.contract.genesis,
                 contract=self.contract,
                 ledger=self.ledger,
                 published=tuple(self.published),
@@ -651,9 +643,8 @@ class _ChainRun:
         self.published.append((block, events))
         if events:
             self.kernel.schedule(block.finality_time_us, partial(self._deliver, block, events))
-        next_time = now + self.cfg.block_period_us
-        if self.contract.closed < len(self.consumers) and next_time <= self.cfg.timeout_us:
-            self.kernel.schedule(next_time, self._on_block_time)
+        if self.contract.closed < len(self.consumers):
+            self.kernel.schedule(self.ledger.next_block_time_us(), self._on_block_time)
 
     def _deliver(self, block, events):
         """Hand each of a block's events, in tx order, to the agents that act
@@ -661,7 +652,7 @@ class _ChainRun:
         at the block's finality, which the kernel reaches only by the timeout."""
         final_us = block.finality_time_us
         consumer_by_ann, steps = self._consumer_by_ann, self._steps
-        min_offers = self.genesis.min_offers
+        min_offers = self.contract.min_offers
         submitted = None  # sender -> submit instant of its announcement in this block
         for event in events:
             kind = type(event)

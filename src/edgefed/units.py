@@ -8,7 +8,6 @@ and makes digests and exported files stable across platforms.
 import dataclasses
 import functools
 import re
-import types
 from enum import Enum
 
 MICRO = 1_000_000
@@ -36,9 +35,6 @@ def _kind(kind):
     record's own rules."""
     if kind in _KINDS:
         return _KINDS[kind]
-    if isinstance(kind, types.UnionType) and kind.__args__[1:] == (type(None),):
-        inner = _kind(kind.__args__[0])
-        return inner and ((lambda value: value is None or inner[0](value)), f"{inner[1]} or None")
     if getattr(kind, "__origin__", None) is tuple and len(kind.__args__) == 2:
         first, second = kind.__args__  # tuple[X, Y]: a pair
         return (lambda value: type(value) is tuple and len(value) == 2
@@ -74,11 +70,10 @@ def check_field_types(record) -> None:
     takes an int and a `float` field an int or float, never a bool, as in a
     document; a `tuple` field takes a tuple, never a list, and a
     `tuple[X, ...]` field one of items of kind X. A field declared as an
-    `Enum`, dataclass or `bytes` subclass (an `Address`), or as `X | None`
-    of one of these kinds, takes an instance of it (or None). A
-    `tuple[X, Y]` item, such as a `ContractGenesis` operator, takes a tuple
-    of an instance of X, then one of Y, never a bool. Other fields are left
-    to the record's own rules."""
+    `Enum`, dataclass or `bytes` subclass (an `Address`) takes an instance
+    of it. A `tuple[X, Y]` item, such as a `ContractGenesis` operator, takes
+    a tuple of an instance of X, then one of Y, never a bool. Other fields
+    are left to the record's own rules."""
     for name, test, what, many in _checks(type(record)):
         value = getattr(record, name)
         if many and not isinstance(value, tuple):

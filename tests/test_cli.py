@@ -12,6 +12,7 @@ from edgefed.metrics import CSV_COLUMNS
 from edgefed.simkernel import MAX_TXS_PER_CELL, MAX_TXS_PER_RUN, run_transactions
 
 SWEEP_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "sweep.json"
+BASELINE_CONFIG = SWEEP_CONFIG.with_name("baseline.json")
 
 
 def write_config(tmp_path, name="scenario.json", **overrides):
@@ -76,7 +77,24 @@ class TestRun:
 
     def test_timeout_without_completions_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, scenario_timeout_s=1.0)
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == "no federation completed before the scenario timeout\n"
+        assert captured.out == ""
+        # The trace files are still written, one incomplete row per federation.
+        rows = metrics.read_csv(out / "cli_clique_2.csv")
+        assert [row["complete"] for row in rows] == [False, False]
+        jsonl = (out / "cli_clique_2.jsonl").read_text().splitlines()
+        assert [json.loads(line)["complete"] for line in jsonl] == ["false", "false"]
+
+    def test_a_small_qbft_set_warns_in_one_line(self, tmp_path, capsys):
+        argv = ["run", "--config", str(BASELINE_CONFIG), "--consensus", "qbft",
+                "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().err == (
+            "warning: qbft N=2: QBFT with 2 validators cannot tolerate a Byzantine fault"
+            " (needs 3f+1 >= 4)\n")
 
     def test_env_var_out_dir_fallback(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path)
@@ -128,6 +146,36 @@ class TestSweep:
         lines = (out / "cli_summary.csv").read_text().splitlines()
         assert len(lines) == 1 + 4
         assert lines[0].startswith("consensus,n_systems,n_samples")
+
+    def test_a_cell_in_which_nothing_completed_keeps_its_summary_row(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, runs=1, scenario_timeout_s=10,
+                           sweep={"n_systems": [2], "variants": ["clique", "qbft", "soa"]})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "cell (clique, N=2): no complete traces",
+            "warning: qbft N=2: QBFT with 2 validators cannot tolerate a Byzantine fault"
+            " (needs 3f+1 >= 4)",
+            "cell (qbft, N=2): no complete traces",
+        ]
+        assert captured.out.splitlines()[1:] == [
+            "soa          2      2.650000      0.000000        1"]
+        lines = (out / "cli_summary.csv").read_text().splitlines()
+        assert lines[1:] == [
+            "clique,2,0,1,,,,,,,",
+            "qbft,2,0,1,,,,,,,",
+            "soa,2,1,0,0.050000,0.000000,0.050000,2.050000,0.500000,2.650000,0.000000",
+        ]
+
+    def test_the_paper_sweep_warns_once_per_small_qbft_cell(self, tmp_path, capsys):
+        argv = ["sweep", "--config", str(SWEEP_CONFIG), "--runs", "1", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: qbft N={n}: QBFT with {validators} validators cannot tolerate"
+            " a Byzantine fault (needs 3f+1 >= 4)"
+            for n, validators in ((2, 2), (10, 3))
+        ]
 
     def test_paper_sweep_formats_each_distinct_segment_tuple_once_per_writer(
             self, tmp_path, capsys, monkeypatch):

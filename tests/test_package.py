@@ -42,7 +42,7 @@ from edgefed.contract import (
 )
 from edgefed.ledger import Address, Algorithm, Block, ConsensusConfig, StampedEvent, Transaction
 from edgefed.metrics import AggregateStats, FederationTrace, PhaseBreakdown, SegmentStats
-from edgefed.simkernel import AgentParams, Cell, Participants, RunResult, ScenarioConfig
+from edgefed.simkernel import AgentParams, Cell, RunResult, ScenarioConfig
 from edgefed.units import ConfigInvalid
 
 from conftest import assert_built_by_plain_stores
@@ -130,7 +130,6 @@ SAMPLES = {type(record).__name__: record for record in [
     AggregateStats({"total": _STATS}, 3, 0),
     AgentParams(),
     ScenarioConfig(),
-    Participants((_CONSUMER,), (_PROVIDER,), Address.derive("bootstrap")),
     Cell((_CONSUMER_PROFILE,), (_PROVIDER_PROFILE,), ContractGenesis(), _CONSENSUS),
     Bid(0, _PROVIDER, 150_000, 1, 0),
     DeploymentJob(0, 1, 2, 3, 4),
@@ -155,7 +154,7 @@ def _refuses_assignment(record) -> bool:
 
 def test_the_record_classes_are_all_found():
     # A new record class shows here until SAMPLES holds one of it.
-    assert len(DATACLASSES) == 35
+    assert len(DATACLASSES) == 34
     assert {type(record) for record in SAMPLES.values()} == set(DATACLASSES.values())
 
 

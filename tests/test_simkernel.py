@@ -4,7 +4,7 @@ import heapq
 import itertools
 import re
 import weakref
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -44,7 +44,7 @@ from edgefed.simkernel import (
     run_once,
     run_scenario,
 )
-from edgefed.units import check_field_types, to_micro
+from edgefed.units import to_micro
 
 from conftest import scenario
 
@@ -233,26 +233,26 @@ class TestTopology:
 class TestRoles:
     def test_every_system_has_exactly_one_role(self):
         cfg = scenario(n=10)
-        parts = build_participants(cfg)
-        everyone = set(parts.consumers) | set(parts.providers) | {parts.bootstrap}
+        consumers, providers, bootstrap = build_participants(cfg)
+        everyone = set(consumers) | set(providers) | {bootstrap}
         assert len(everyone) == cfg.n_systems + 1
-        assert not (set(parts.consumers) & set(parts.providers))
+        assert not (set(consumers) & set(providers))
 
     @given(st.integers(0, 2**64), st.integers(2, 80))
     @settings(max_examples=50, deadline=None)
     def test_role_lists_are_in_address_order(self, seed, n):
         cfg = scenario(n=n, seed=seed)
-        parts = build_participants(cfg)
-        for role, count in ((parts.consumers, cfg.consumers), (parts.providers, cfg.providers)):
+        consumers, providers, _ = build_participants(cfg)
+        for role, count in ((consumers, cfg.consumers), (providers, cfg.providers)):
             assert type(role) is tuple and len(role) == count
             assert all(a < b for a, b in zip(role, role[1:]))  # Address.__lt__
 
     def test_validators_are_providers_plus_bootstrap(self):
         cfg = scenario(n=15, variant="qbft")
-        parts = build_participants(cfg)
-        consensus = build_consensus(cfg, parts)
+        _, providers, bootstrap = build_participants(cfg)
+        consensus = build_consensus(cfg, providers, bootstrap)
         assert consensus.algorithm is Algorithm.QBFT
-        assert set(consensus.validators) == set(parts.providers) | {parts.bootstrap}
+        assert set(consensus.validators) == set(providers) | {bootstrap}
 
 
 class TestRunScenario:
@@ -482,7 +482,7 @@ class TestRoutedDelivery:
         calls = record_handle_calls(monkeypatch)
         cfg = scenario(n=n)
         run = _ChainRun(cfg, 0, build_cell(cfg))
-        assert run.genesis.min_offers == min_offers
+        assert run.contract.min_offers == min_offers
         owner = run.consumers[-1]
         ann_id = announce(run, owner)
         calls.clear()
@@ -793,18 +793,3 @@ def test_a_record_built_with_a_wrong_type_is_refused_naming_its_field(build, rea
     raise TypeError later in a run or a digest."""
     with pytest.raises(ConfigInvalid, match=f"^{re.escape(reason)}$"):
         build()
-
-
-def test_an_optional_field_takes_none_or_its_declared_kind():
-    @dataclass(frozen=True)
-    class Holder:
-        algorithm: Algorithm | None
-        period_us: int | None
-
-    check_field_types(Holder(None, None))
-    check_field_types(Holder(Algorithm.QBFT, 5))
-    with pytest.raises(ConfigInvalid,
-                       match="^Holder.algorithm must be an Algorithm or None, got 'qbft'$"):
-        check_field_types(Holder("qbft", None))
-    with pytest.raises(ConfigInvalid, match="^Holder.period_us must be an int or None, got 5.0$"):
-        check_field_types(Holder(None, 5.0))
