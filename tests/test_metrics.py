@@ -196,6 +196,19 @@ class TestCompare:
         report = compare_rows(self.rows(2, 18.0), self.rows(2, 2.6, consensus="soa"))
         assert report[0]["overhead_s"] == pytest.approx(15.4)
 
+    def test_each_mean_is_the_aggregate_mean_of_its_traces(self, tmp_path):
+        # compare reads back what a run wrote and takes the same mean that
+        # aggregate reports for it, to the last bit.
+        chain = [trace(run=r, total=20.0 + r * 0.731) for r in range(7)] + [incomplete(run=7)]
+        soa = [trace(run=r, total=2.6 + r * 0.013) for r in range(5)]
+        rows = {}
+        for name, traces in (("clique", chain), ("soa", soa)):
+            write_csv(traces, tmp_path / f"{name}.csv", "base", name, 2)
+            rows[name] = read_csv(tmp_path / f"{name}.csv")
+        entry = compare_rows(rows["clique"], rows["soa"])[0]
+        assert entry["blockchain_mean_total_s"] == aggregate(chain).segments["total"].mean_s
+        assert entry["soa_mean_total_s"] == aggregate(soa).segments["total"].mean_s
+
     def test_identical_inputs_have_zero_overhead(self):
         report = compare_rows(self.rows(2, 5.0), self.rows(2, 5.0))
         assert report[0]["overhead_s"] == 0.0

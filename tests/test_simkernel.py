@@ -276,6 +276,17 @@ class TestRunScenario:
         traces = run_scenario(cfg)
         assert [t.complete for t in traces] == [False]
 
+    @pytest.mark.parametrize("half_periods, last_height", [(5, 2), (6, 3)])
+    def test_blocks_fall_on_the_period_until_the_timeout(self, half_periods, last_height):
+        # The ledger's clock places every block; the event loop alone stops
+        # the run, and a block that falls exactly on the timeout is produced.
+        base = scenario(n=2, runs=1)
+        cfg = replace(base, timeout_us=base.block_period_us * half_periods // 2)
+        blocks = run_once(cfg, 0).blocks
+        assert [block.height for block in blocks] == list(range(last_height + 1))
+        assert [block.timestamp_us for block in blocks] == [
+            height * cfg.block_period_us for height in range(last_height + 1)]
+
     def test_fresh_genesis_per_run(self):
         cfg = scenario(n=2, runs=2)
         first = run_once(cfg, 0)
