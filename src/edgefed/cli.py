@@ -85,9 +85,18 @@ def _print_summary(cfg, stats) -> None:
     )
 
 
-def _run_cell(cfg, out_dir: Path):
-    """Run one cell and write its files. Each warning the run raises is
-    printed as one line naming the cell, not in Python's own format."""
+def _load(args):
+    """The config with the command line's overrides, and its output directory, made."""
+    cfg = _apply_overrides(simkernel.load_config(args.config), args)
+    out_dir = _resolve_out(args.out, cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return cfg, out_dir
+
+
+def _run_cell(cfg, out_dir: Path) -> metrics.AggregateStats:
+    """Run one cell, write its files and return its stats, empty (`n_samples`
+    0) when no federation completed. Each warning the run raises is printed
+    as one line naming the cell, not in Python's own format."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         traces = simkernel.run_scenario(cfg)
@@ -96,51 +105,38 @@ def _run_cell(cfg, out_dir: Path):
     cell = (cfg.scenario_id, cfg.variant, cfg.n_systems)
     for write, suffix in ((metrics.write_csv, "csv"), (metrics.write_jsonl, "jsonl")):
         write(traces, out_dir / metrics.cell_filename(*cell, suffix), *cell)
-    return traces
+    try:
+        return metrics.aggregate(traces)
+    except metrics.NoCompleteTraces:
+        return metrics.AggregateStats(segments={}, n_samples=0, n_incomplete=len(traces))
 
 
 def _cmd_run(args) -> int:
-    cfg = _apply_overrides(simkernel.load_config(args.config), args)
-    out_dir = _resolve_out(args.out, cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    traces = _run_cell(cfg, out_dir)
-    try:
-        stats = metrics.aggregate(traces)
-    except metrics.NoCompleteTraces:
+    cfg, out_dir = _load(args)
+    stats = _run_cell(cfg, out_dir)
+    if not stats.n_samples:
         print("no federation completed before the scenario timeout", file=sys.stderr)
         return EXIT_CONFIG
     _print_summary(cfg, stats)
     return EXIT_OK
 
 
-def _cell_config(cfg, n: int, variant: str):
-    consumers, providers = simkernel.generate_topology(n)
-    return replace(
-        cfg, n_systems=n, consumers=consumers, providers=providers, variant=variant
-    )
-
-
 def _cmd_sweep(args) -> int:
-    base = _apply_overrides(simkernel.load_config(args.config), args)
-    out_dir = _resolve_out(args.out, base.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    base, out_dir = _load(args)
     variants = (args.consensus,) if args.consensus else base.sweep_variants
     summary_rows = []
-    exit_code = EXIT_OK
     for variant in variants:
         for n in base.sweep_n:
-            cfg = _cell_config(base, n, variant)
-            traces = _run_cell(cfg, out_dir)
-            try:
-                stats = metrics.aggregate(traces)
-            except metrics.NoCompleteTraces:
+            consumers, providers = simkernel.generate_topology(n)
+            cfg = replace(base, n_systems=n, consumers=consumers, providers=providers,
+                          variant=variant)
+            stats = _run_cell(cfg, out_dir)
+            if not stats.n_samples:
                 print(f"cell ({variant}, N={n}): no complete traces", file=sys.stderr)
-                exit_code = EXIT_CONFIG
-                stats = metrics.AggregateStats(segments={}, n_samples=0, n_incomplete=len(traces))
             summary_rows.append((variant, n, stats))
     _write_sweep_summary(base, out_dir, summary_rows)
     _print_sweep_table(summary_rows)
-    return exit_code
+    return EXIT_OK if all(stats.n_samples for _, _, stats in summary_rows) else EXIT_CONFIG
 
 
 def _write_sweep_summary(base, out_dir: Path, summary_rows) -> None:

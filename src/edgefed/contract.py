@@ -17,8 +17,7 @@ from enum import IntEnum
 
 from . import canonical
 from .ledger import Address, Block, StampedEvent
-from .units import (ConfigInvalid, check_field_types, check_non_negative, format_micro,
-                    ms_to_micro, to_micro)
+from .units import ConfigInvalid, check_field_types, check_non_negative, format_micro, to_micro
 
 
 class ContractError(Exception):
@@ -101,14 +100,6 @@ class SlaTerms(canonical.Record):
                            max_latency_ms=self.max_latency_us)
         if not 0 <= self.min_availability_micro <= to_micro(1.0):
             raise ConfigInvalid("agents.sla.min_availability must be in [0, 1]")
-
-    @classmethod
-    def from_floats(cls, min_availability: float, max_latency_ms: float, penalty: float) -> "SlaTerms":
-        return cls(
-            min_availability_micro=to_micro(min_availability),
-            max_latency_us=ms_to_micro(max_latency_ms),
-            penalty_micro=to_micro(penalty),
-        )
 
 
 # -- calls -------------------------------------------------------------------
@@ -263,8 +254,8 @@ class FederationContract:
         self.genesis = genesis
         self.operators: dict[Address, str] = dict(genesis.operators)  # no call adds one
         self.balances: dict[Address, int] = dict(genesis.balances)
+        # By announcement id, from 0 and never shrunk: the next id is its length.
         self.federations: dict[int, FederationRecord] = {}
-        self.next_ann_id = 0
         self.min_offers = genesis.min_offers
         self.closed = 0  # federations in Phase.CLOSED
         self.rejected: list[tuple[int, str]] = []  # (tx id, error class name)
@@ -301,8 +292,7 @@ class FederationContract:
             )
         if self.balances.get(sender, 0) < call.deposit_micro:
             raise InsufficientBalance(f"{sender} cannot escrow {call.deposit_micro}")
-        ann_id = self.next_ann_id
-        self.next_ann_id += 1
+        ann_id = len(self.federations)
         self.balances[sender] -= call.deposit_micro
         self.federations[ann_id] = FederationRecord(
             announcement=ServiceAnnouncement(
@@ -398,7 +388,7 @@ class FederationContract:
             for ann_id, record in self.federations.items()
         }
         return canonical.digest({"operators": self.operators, "balances": self.balances,
-                                 "federations": federations, "next_ann_id": self.next_ann_id})
+                                 "federations": federations, "next_ann_id": len(self.federations)})
 
     def total_funds_micro(self) -> int:
         """Balances plus escrow; constant after genesis funding."""

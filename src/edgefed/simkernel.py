@@ -205,7 +205,7 @@ class AgentParams(canonical.Record):
     )
     abstain_probability: float = 0.0
     deposit_micro: int = to_micro(10.0)
-    sla: SlaTerms = SlaTerms.from_floats(0.99, 50.0, 2.0)
+    sla: SlaTerms = SlaTerms(to_micro(0.99), ms_to_micro(50.0), to_micro(2.0))
     genesis_balance_micro: int = to_micro(100.0)
 
     def __post_init__(self):

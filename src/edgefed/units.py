@@ -37,9 +37,9 @@ def _kind(kind):
         return _KINDS[kind]
     if getattr(kind, "__origin__", None) is tuple and len(kind.__args__) == 2:
         first, second = kind.__args__  # tuple[X, Y]: a pair
+        is_first, is_second = _instance_of(first), _instance_of(second)
         return (lambda value: type(value) is tuple and len(value) == 2
-                and isinstance(value[0], first) and isinstance(value[1], second)
-                and type(value[0]) is not bool and type(value[1]) is not bool), \
+                and is_first(value[0]) and is_second(value[1])), \
             f"an ({first.__name__}, {second.__name__}) pair"
     if isinstance(kind, type) and (issubclass(kind, (Enum, bytes))
                                    or dataclasses.is_dataclass(kind)):

@@ -12,14 +12,18 @@ from itertools import permutations, product
 import pytest
 
 from edgefed import FederationContract, aggregate, run_once, run_scenario
+from edgefed.agents import DeploymentQueue
 from edgefed.cli import EXIT_OK, main
 from edgefed.contract import select_winner
-from edgefed.simkernel import generate_topology
-from edgefed.units import to_micro
+from edgefed.ledger import finality_delay_us
+from edgefed.metrics import decompose
+from edgefed.simkernel import build_cell, generate_topology
+from edgefed.units import ms_to_micro, to_micro
 
 from conftest import scenario
 
 SWEEP_N = (2, 10, 15, 25, 30)
+GROWTH_N = (2, 10, 15, 30)
 
 
 def mean_total_s(cfg) -> float:
@@ -129,6 +133,35 @@ def test_criterion_4_growth_from_provider_queueing():
     )
 
 
+def test_criterion_4_all_growth_is_the_deployment_queue(monkeypatch):
+    # With each deployment started on arrival, every trace at every N takes
+    # four 5 s block periods plus the 0.5 s attach, and on QBFT one finality
+    # delay more: the ledger adds no load dependence, the FIFO queue all of it.
+    fifo = [mean_total_s(scenario(n=n, variant="clique", runs=20, seed=7)) for n in GROWTH_N]
+    assert [round(mean, 3) for mean in fifo] == [20.5, 27.375, 31.333, 28.104]
+    enqueue = DeploymentQueue.enqueue
+
+    def start_on_arrival(queue, ann_id, now_us):
+        queue.free_at_us = 0  # no job ahead of this one
+        return enqueue(queue, ann_id, now_us)
+
+    monkeypatch.setattr(DeploymentQueue, "enqueue", start_on_arrival)
+    expected_s = {"clique": (20.5, 20.5, 20.5, 20.5), "qbft": (20.7, 20.75, 20.75, 20.8),
+                  "soa": (2.65, 2.65, 2.65, 2.65)}
+    for variant, totals_s in expected_s.items():
+        for n, total_s in zip(GROWTH_N, totals_s):
+            cfg = scenario(n=n, variant=variant, runs=20, seed=7)
+            traces = run_scenario(cfg)
+            assert {decompose(t).total_us for t in traces} == {to_micro(total_s)}, (variant, n)
+            if variant == "qbft":
+                finality_us = finality_delay_us(build_cell(cfg).consensus)
+                assert to_micro(total_s) == to_micro(20.5) + finality_us
+    print(
+        "\n[PASS] criterion 4: with deployments started on arrival every Clique "
+        "trace takes 20.5 s and every QBFT trace 20.5 s plus its finality delay"
+    )
+
+
 # -- criterion 5: replicated state machine ------------------------------------------
 
 
@@ -230,7 +263,7 @@ def _contract_path_sample(grid) -> int:
             AnnounceService(
                 requirements=ServiceRequirements(app_id="a", replicas=1, bandwidth_mbps=1),
                 consumer_endpoint=OverlayEndpoint(ip="10.0.0.1", udp_port=4789, vni=1),
-                sla=SlaTerms.from_floats(0.99, 50.0, 2.0),
+                sla=SlaTerms(to_micro(0.99), ms_to_micro(50.0), to_micro(2.0)),
                 deposit_micro=to_micro(10.0),
             ),
             1,

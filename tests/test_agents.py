@@ -35,7 +35,7 @@ from edgefed.contract import (
 from edgefed.ledger import Ledger
 from edgefed.metrics import decompose
 from edgefed.simkernel import _ChainRun, build_cell, run_once
-from edgefed.units import to_micro
+from edgefed.units import ms_to_micro, to_micro
 
 from conftest import addr, clique_config, scenario
 
@@ -56,7 +56,7 @@ def consumer(tag="c", attach=0.5) -> ConsumerProfile:
     return ConsumerProfile(
         address=addr(tag),
         announcement=AnnounceService(requirements=REQS, consumer_endpoint=ENDPOINT,
-                                     sla=SlaTerms.from_floats(0.99, 50.0, 2.0),
+                                     sla=SlaTerms(to_micro(0.99), ms_to_micro(50.0), to_micro(2.0)),
                                      deposit_micro=to_micro(10.0)),
         attach_time_us=to_micro(attach),
     )

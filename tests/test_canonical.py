@@ -357,6 +357,12 @@ class TestSlotInit:
         assert [f.name for f in fields(slotted)] == [f.name for f in fields(twin)]
         assert canonical.digest(slotted) == canonical.digest(twin)
 
+    def test_records_of_two_types_with_equal_fields_are_unequal(self):
+        from edgefed.contract import BidPlaced
+
+        assert PlaceBid(0, 1) != BidPlaced(0, 1)
+        assert not PlaceBid(0, 1) == BidPlaced(0, 1)
+
     def test_a_default_fills_a_left_out_argument(self):
         @canonical.record
         class Defaulted(canonical.Record):

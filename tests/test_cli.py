@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import ntpath
@@ -284,14 +285,29 @@ class TestCompare:
         (HEADER, ROW.replace("clique,2,0,", "clique,2,+0,"), "row 2, column run: cannot read '+0'"),
         (HEADER, ROW.replace("clique,2,0,0,", "clique,2,0, 0,"),
          "row 2, column ann_id: cannot read ' 0'"),
+        (HEADER, ROW.replace("true", "yes"), "row 2, column complete: cannot read 'yes'"),
+        (HEADER, ROW.replace("cli,", "x" * (csv.field_size_limit() + 1) + ",", 1),
+         f"row 2: field larger than field limit ({csv.field_size_limit()})"),
     ], ids=["missing_column", "non_numeric_n_systems", "complete_without_segments",
             "seventh_fraction_digit", "segments_do_not_sum_to_total", "cells_beyond_the_header",
-            "arabic_indic_n_systems", "underscored_n_systems", "signed_run", "spaced_ann_id"])
+            "arabic_indic_n_systems", "underscored_n_systems", "signed_run", "spaced_ann_id",
+            "complete_yes", "field_beyond_the_limit"])
     def test_malformed_csv_exits_1_naming_file_row_and_column(
             self, tmp_path, capsys, header, row, reason):
         err = self.compare_fails(
             tmp_path, capsys, f"{header}\n{row}\n", f"{self.HEADER}\n{self.ROW}\n")
         assert f"{tmp_path / 'chain.csv'} {reason}" in err
+
+    def test_an_undecodable_file_exits_1_naming_it(self, tmp_path, capsys):
+        chain_csv, soa_csv = tmp_path / "chain.csv", tmp_path / "soa.csv"
+        chain_csv.write_bytes(f"{self.HEADER}\n{self.ROW}\n".encode().replace(b"cli,", b"cl\xff,"))
+        soa_csv.write_text(f"{self.HEADER}\n{self.ROW}\n")
+        out = tmp_path / "out"
+        assert main(["compare", str(chain_csv), str(soa_csv), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"comparison failed: {chain_csv}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_two_header_only_files_exit_1(self, tmp_path, capsys):
         err = self.compare_fails(tmp_path, capsys, self.HEADER + "\n", self.HEADER + "\n")

@@ -38,7 +38,7 @@ from edgefed.contract import (
 )
 from edgefed.ledger import Block, StampedEvent, Transaction
 from edgefed.metrics import FederationTrace
-from edgefed.units import to_micro
+from edgefed.units import ms_to_micro, to_micro
 
 from conftest import addr
 
@@ -49,7 +49,7 @@ P3 = addr("provider-3")
 
 REQS = ServiceRequirements(app_id="app", replicas=1, bandwidth_mbps=100)
 ENDPOINT = OverlayEndpoint(ip="10.0.0.1", udp_port=4789, vni=42)
-SLA = SlaTerms.from_floats(0.99, 50.0, 2.0)
+SLA = SlaTerms(to_micro(0.99), ms_to_micro(50.0), to_micro(2.0))
 
 
 def fresh_contract(min_offers=2, extra_operators=()):
@@ -389,6 +389,25 @@ class TestReplication:
             with pytest.raises(ContractError):
                 contract.apply(sender, call, 2)
             assert contract.state_digest() == before
+
+    @pytest.mark.parametrize("call", [
+        ChooseProvider(ann_id=99),
+        ConfirmDeployment(ann_id=99, provider_endpoint=ENDPOINT),
+        CloseFederation(ann_id=99),
+    ], ids=lambda call: type(call).__name__)
+    def test_a_call_on_an_announcement_never_made_is_rejected(self, call):
+        from edgefed.contract import ContractError
+
+        contract = fresh_contract()
+        announce(contract)
+        with pytest.raises(ContractError, match="unknown announcement 99") as caught:
+            contract.apply(CONSUMER, call, 2)
+        assert type(caught.value) is ContractError
+        tx = Transaction(id=7, sender=CONSUMER, payload=call, submit_time_us=1, nonce=1)
+        block = Block(height=2, proposer=P1, timestamp_us=5, txs=(tx,), parent_digest="",
+                      finality_time_us=5)
+        assert contract.execute_block(block) == []
+        assert contract.rejected == [(7, "ContractError")]
 
 
 # -- event log -------------------------------------------------------------------

@@ -140,6 +140,12 @@ class TestSubmission:
         txs = [ledger.submit(sender, Ping(), 0) for _ in range(3)]
         assert [tx.nonce for tx in txs] == [0, 1, 2]
 
+    def test_a_negative_submission_time_is_refused(self):
+        ledger = make_ledger()
+        with pytest.raises(LedgerError, match="submit_time must be non-negative"):
+            ledger.submit(addr("a"), Ping(), -1)
+        assert ledger.mempool == []
+
     def test_submission_earlier_than_last_pending_rejected(self):
         ledger = make_ledger()
         ledger.submit(addr("a"), Ping(), to_micro(2.0))
@@ -424,6 +430,11 @@ class TestFinality:
     def test_repeated_validator_rejected(self):
         with pytest.raises(ValueError, match="duplicate validator"):
             clique_config([addr("v0"), addr("v1"), addr("v0")])
+
+    def test_an_empty_validator_set_is_refused(self):
+        with pytest.raises(ValueError, match="at least one validator is required"):
+            ConsensusConfig(algorithm=Algorithm.CLIQUE, block_period_us=to_micro(5.0),
+                            validators=())
 
 
 def stamped_run(n=10, variant="clique"):

@@ -43,7 +43,7 @@ from edgefed.contract import (
 from edgefed.ledger import Address, Algorithm, Block, ConsensusConfig, StampedEvent, Transaction
 from edgefed.metrics import AggregateStats, FederationTrace, PhaseBreakdown, SegmentStats
 from edgefed.simkernel import AgentParams, Cell, RunResult, ScenarioConfig
-from edgefed.units import ConfigInvalid
+from edgefed.units import ConfigInvalid, ms_to_micro, to_micro
 
 from conftest import assert_built_by_plain_stores
 
@@ -91,7 +91,7 @@ _REQUIREMENTS = ServiceRequirements("app-c0", 1, 100)
 _ENDPOINT = OverlayEndpoint("10.0.0.1", 4789, 100)
 _PROVIDER = Address.derive("provider")
 _CONSUMER = Address.derive("consumer")
-_SLA = SlaTerms.from_floats(0.99, 50.0, 2.0)
+_SLA = SlaTerms(to_micro(0.99), ms_to_micro(50.0), to_micro(2.0))
 _ANNOUNCE = AnnounceService(_REQUIREMENTS, _ENDPOINT, _SLA, 10_000_000)
 _ANNOUNCEMENT = ServiceAnnouncement(0, _CONSUMER, _REQUIREMENTS, _ENDPOINT, 1)
 _TX = Transaction(3, _PROVIDER, PlaceBid(0, 150_000), 5_000_000, 1)
